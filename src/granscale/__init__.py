@@ -8,14 +8,15 @@ Built-in workloads and a sweep harness validate the estimate against
 conventionally measured speedup.
 """
 
+# Defined before the submodules load: the harness writes it into results files.
+__version__ = "0.1.0"
+
 from .measurement import (
     RunHandle,
     RunRecord,
     Span,
     aggregate,
     begin_run,
-    finish_run,
-    record_span,
 )
 from .metrics import (
     INFINITE_GRANULARITY,
@@ -50,10 +51,10 @@ from .report import (
     report_rows,
     scalability_verdict,
     strong_scaling_csv,
-    validate_fixture,
     weak_scaling_tables,
 )
-from .stats import OutlierDecision, SampleSet, filter_outliers, quartiles, summarize
+from .fixture import validate_fixture
+from .stats import OutlierDecision, filter_outliers, quartiles
 from .workloads import (
     KMeansSpec,
     PiSpec,
@@ -64,5 +65,3 @@ from .workloads import (
     monte_carlo_pi,
     synthetic_run,
 )
-
-__version__ = "0.1.0"

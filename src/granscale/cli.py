@@ -13,6 +13,7 @@ a failure (the results file keeps every completed cell).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -37,24 +38,11 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     results = harness.load_results(args.infile)
     if args.format == "json":
-        rows = report.report_rows(results)
-        text = json.dumps(
-            [
-                {
-                    "workers": r.workers,
-                    "problem_size": r.problem_size,
-                    "mean_wall": r.mean_wall,
-                    "granularity": r.granularity,
-                    "efficiency": r.efficiency,
-                    "estimated_speedup": r.estimated_speedup,
-                    "actual_speedup": r.actual_speedup,
-                    "relative_error": r.relative_error,
-                    "anomaly_flags": sorted(r.anomaly_flags),
-                }
-                for r in rows
-            ],
-            indent=2,
-        ) + "\n"
+        rows = [
+            {**dataclasses.asdict(r), "anomaly_flags": sorted(r.anomaly_flags)}
+            for r in report.report_rows(results)
+        ]
+        text = json.dumps(rows, indent=2) + "\n"
     elif results.mode == "strong":
         if args.format == "table":
             print("aligned tables are produced for weak-mode results; "

@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from . import stats
-from .measurement import RunRecord, aggregate, begin_run
+from . import __version__, stats
+from .measurement import RunHandle, RunRecord, aggregate, begin_run
 from .metrics import GranularityMetrics, TimingBreakdown, granularity_metrics, relative_error
 from .workloads import (
     KMeansSpec,
@@ -40,8 +41,6 @@ from .workloads import (
 
 log = logging.getLogger("granscale")
 
-TOOL_VERSION = "0.1.0"
-
 #: Extra repetition rounds allowed when refilling rejected measurements.
 MAX_REFILL_ATTEMPTS = 3
 
@@ -49,8 +48,40 @@ SEED_ENV_VAR = "GRANSCALE_SEED"
 
 WorkloadSpec = Union[KMeansSpec, PiSpec, SyntheticSpec]
 
-_WORKLOAD_KINDS = {KMeansSpec: "kmeans", PiSpec: "pi", SyntheticSpec: "synthetic"}
-_KIND_CLASSES = {v: k for k, v in _WORKLOAD_KINDS.items()}
+
+class _Workload(NamedTuple):
+    kind: str
+    run: Callable[[WorkloadSpec, int, int, int], RunRecord]  # (spec, workers, size, seed)
+
+
+# The runners look the kernels up as module globals at call time, so
+# wrappers installed on this module (bench/tracing.py, tests) see every call.
+def _open_run(spec: WorkloadSpec, workers: int, size: int, seed: int) -> RunHandle:
+    return begin_run(_WORKLOADS[type(spec)].kind, workers, size, seed)
+
+
+def _run_kmeans(wl: KMeansSpec, workers: int, size: int, seed: int) -> RunRecord:
+    spec = replace(wl, n_points=size, seed=seed)
+    data = generate_dataset(spec)  # untimed: built before the run opens
+    return kmeans_parallel(spec, data, workers, _open_run(spec, workers, size, seed))[2]
+
+
+def _run_pi(wl: PiSpec, workers: int, size: int, seed: int) -> RunRecord:
+    spec = replace(wl, n_samples=size, seed=seed)
+    return monte_carlo_pi(spec, workers, _open_run(spec, workers, size, seed))[1]
+
+
+def _run_synthetic(wl: SyntheticSpec, workers: int, size: int, seed: int) -> RunRecord:
+    # Synthetic has no data size; the problem-size axis scales its iterations.
+    spec = replace(wl, iterations=size)
+    return synthetic_run(spec, workers, _open_run(spec, workers, size, seed))
+
+
+_WORKLOADS = {
+    KMeansSpec: _Workload("kmeans", _run_kmeans),
+    PiSpec: _Workload("pi", _run_pi),
+    SyntheticSpec: _Workload("synthetic", _run_synthetic),
+}
 
 
 class CellExecutionError(RuntimeError):
@@ -96,43 +127,28 @@ class ExperimentPlan:
 
     @property
     def workload_id(self) -> str:
-        return _WORKLOAD_KINDS[type(self.workload)]
+        return _WORKLOADS[type(self.workload)].kind
 
     def to_dict(self) -> dict:
-        wl = {"kind": self.workload_id, **dataclasses.asdict(self.workload)}
-        return {
-            "workload": wl,
-            "mode": self.mode,
-            "worker_counts": list(self.worker_counts),
-            "base_problem_size": self.base_problem_size,
-            "problem_sizes": list(self.problem_sizes) if self.problem_sizes else None,
-            "repetitions": self.repetitions,
-            "measure_serial_baseline": self.measure_serial_baseline,
-            "seed": self.seed,
-            "rerun_outliers": self.rerun_outliers,
-            "outlier_side": self.outlier_side,
-        }
+        obj = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        obj["workload"] = {"kind": self.workload_id, **dataclasses.asdict(self.workload)}
+        obj["worker_counts"] = list(self.worker_counts)
+        obj["problem_sizes"] = list(self.problem_sizes) if self.problem_sizes else None
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentPlan":
+        """Inverse of to_dict; absent fields take their defaults, unknown keys are ignored."""
         wl = dict(obj["workload"])
         kind = wl.pop("kind")
-        if kind not in _KIND_CLASSES:
+        spec_cls = next((c for c, w in _WORKLOADS.items() if w.kind == kind), None)
+        if spec_cls is None:
             raise ValueError(f"unknown workload kind {kind!r}")
-        workload = _KIND_CLASSES[kind](**wl)
-        sizes = obj.get("problem_sizes")
-        return cls(
-            workload=workload,
-            mode=obj["mode"],
-            worker_counts=tuple(obj["worker_counts"]),
-            base_problem_size=obj["base_problem_size"],
-            problem_sizes=tuple(sizes) if sizes else None,
-            repetitions=obj.get("repetitions", 10),
-            measure_serial_baseline=obj.get("measure_serial_baseline", True),
-            seed=obj.get("seed", 0),
-            rerun_outliers=obj.get("rerun_outliers", True),
-            outlier_side=obj.get("outlier_side", "both"),
-        )
+        names = {f.name for f in dataclasses.fields(cls)}
+        kwargs = {k: v for k, v in obj.items() if k in names}
+        kwargs["workload"] = spec_cls(**wl)
+        kwargs["problem_sizes"] = kwargs.get("problem_sizes") or None
+        return cls(**kwargs)
 
 
 def plan_hash(plan: ExperimentPlan) -> str:
@@ -229,94 +245,50 @@ def _run_seed(plan_seed: int, workers: int, size: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _cell_spec(plan: ExperimentPlan, size: int, seed: int) -> WorkloadSpec:
-    wl = plan.workload
-    if isinstance(wl, KMeansSpec):
-        return replace(wl, n_points=size, seed=seed)
-    if isinstance(wl, PiSpec):
-        return replace(wl, n_samples=size, seed=seed)
-    # Synthetic has no data size; the problem-size axis scales its iterations.
-    return replace(wl, iterations=size)
-
-
-def _execute_run(plan: ExperimentPlan, workers: int, size: int, seed: int) -> RunRecord:
-    spec = _cell_spec(plan, size, seed)
-    if isinstance(spec, KMeansSpec):
-        data = generate_dataset(spec)  # untimed: built before the run opens
-        handle = begin_run("kmeans", workers, size, seed)
-        _, _, record = kmeans_parallel(spec, data, workers, handle)
-    elif isinstance(spec, PiSpec):
-        handle = begin_run("pi", workers, size, seed)
-        _, record = monte_carlo_pi(spec, workers, handle)
-    else:
-        handle = begin_run("synthetic", workers, size, seed)
-        record = synthetic_run(spec, workers, handle)
-    return record
-
-
 @dataclass
 class _CellMeasurement:
-    walls: list[float]
-    comps: list[float]
-    kept: int
+    mean_wall: float
+    mean_comp: float
     rejected: int
-    records: list[RunRecord]
-
-    @property
-    def mean_wall(self) -> float:
-        return float(np.mean(self.walls))
-
-    @property
-    def mean_comp(self) -> float:
-        return float(np.mean(self.comps))
+    records: list[RunRecord]  # the kept runs
 
 
 def _measure_cell(plan: ExperimentPlan, workers: int, size: int) -> _CellMeasurement:
-    _execute_run(plan, workers, size, _run_seed(plan.seed, workers, size, 0))  # warm-up
+    workload = _WORKLOADS[type(plan.workload)]
+    reps = itertools.count()  # one seed per repetition; 0 is the warm-up
 
-    records: list[RunRecord] = []
-    rep = 1  # counted repetitions; 0 is the warm-up
-    for _ in range(plan.repetitions):
-        records.append(_execute_run(plan, workers, size, _run_seed(plan.seed, workers, size, rep)))
-        rep += 1
+    def run() -> RunRecord:
+        seed = _run_seed(plan.seed, workers, size, next(reps))
+        return workload.run(plan.workload, workers, size, seed)
+
+    run()  # warm-up
+    records = [run() for _ in range(plan.repetitions)]
 
     total_rejected = 0
     attempts = 0
     while True:
-        walls = [r.wall_clock for r in records]
-        decision = stats.filter_outliers(walls, side=plan.outlier_side)
-        lower, upper = decision.fences
-        if len(walls) >= stats.MIN_SAMPLES_FOR_REJECTION:
-            kept_records = [r for r in records if lower <= r.wall_clock <= upper]
-        else:
-            kept_records = list(records)
-        n_rejected = len(records) - len(kept_records)
-        if n_rejected == 0:
+        decision = stats.filter_outliers([r.wall_clock for r in records], side=plan.outlier_side)
+        if not decision.rejected:
             break
-        total_rejected += n_rejected
+        # Equal walls share one verdict, so dropping by value is exact.
+        rejected = set(decision.rejected)
+        records = [r for r in records if r.wall_clock not in rejected]
+        total_rejected += len(decision.rejected)
         if not plan.rerun_outliers or attempts >= MAX_REFILL_ATTEMPTS:
-            if len(kept_records) < plan.repetitions:
+            if len(records) < plan.repetitions:
                 log.warning(
                     "cell (p=%d, size=%d): reporting with %d/%d samples after "
                     "outlier rejection",
-                    workers, size, len(kept_records), plan.repetitions,
+                    workers, size, len(records), plan.repetitions,
                 )
-            records = kept_records
             break
         # Rejected runs are dropped atomically and re-measured.
         attempts += 1
-        records = kept_records
-        for _ in range(n_rejected):
-            records.append(
-                _execute_run(plan, workers, size, _run_seed(plan.seed, workers, size, rep))
-            )
-            rep += 1
+        records += [run() for _ in decision.rejected]
 
-    breakdowns = [aggregate(r) for r in records]
     return _CellMeasurement(
-        walls=[r.wall_clock for r in records],
-        comps=[b.total_comp for b in breakdowns],
-        kept=len(records),
+        mean_wall=float(np.mean([r.wall_clock for r in records])),
+        mean_comp=float(np.mean([aggregate(r).total_comp for r in records])),
         rejected=total_rejected,
         records=records,
     )
@@ -341,6 +313,20 @@ def _load_results_file(path: Path) -> tuple[dict, list[CellResult]]:
         except (json.JSONDecodeError, KeyError) as exc:
             raise ValueError(f"{path}: corrupt record at line {i}: {exc}") from exc
     return header, cells
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Truncate path to the end of its last complete line.
+
+    Every line is written whole and flushed, so a crash mid-write leaves at
+    most one unterminated fragment at the end; appending after it would
+    merge the next line into it.
+    """
+    raw = path.read_bytes()
+    end = raw.rfind(b"\n") + 1
+    if end < len(raw):
+        log.warning("%s: dropping a torn final line (%d bytes)", path, len(raw) - end)
+        os.truncate(path, end)
 
 
 def _pin_process(max_workers: int) -> None:
@@ -387,6 +373,7 @@ def run_plan(
     if out_path is not None:
         out_path = Path(out_path)
         if resume and out_path.exists():
+            _drop_torn_tail(out_path)
             header, prior = _load_results_file(out_path)
             if header["plan_hash"] != h:
                 raise ValueError("plan mismatch")
@@ -395,7 +382,7 @@ def run_plan(
         else:
             out_file = out_path.open("w")
             out_file.write(
-                json.dumps({"plan_hash": h, "plan": plan.to_dict(), "tool_version": TOOL_VERSION})
+                json.dumps({"plan_hash": h, "plan": plan.to_dict(), "tool_version": __version__})
                 + "\n"
             )
             out_file.flush()
@@ -443,7 +430,7 @@ def run_plan(
                 mean_wall=m.mean_wall,
                 mean_total_comp=m.mean_comp,
                 metrics=metrics,
-                kept=m.kept,
+                kept=len(m.records),
                 rejected=m.rejected,
                 actual_speedup=actual,
                 relative_error=rel_err,
@@ -464,8 +451,10 @@ def resume(results_path: Union[str, Path], pin_cores: bool = False) -> ResultSet
     """Continue an interrupted sweep from its results file.
 
     The plan is reconstructed from the file header; completed cells are kept
-    verbatim and only missing cells execute.
+    verbatim and only missing cells execute. A torn final line, left by a
+    crash during its write, is dropped with a warning and its cell re-run.
     """
+    _drop_torn_tail(Path(results_path))
     header, _ = _load_results_file(Path(results_path))
     plan = ExperimentPlan.from_dict(header["plan"])
     if plan_hash(plan) != header["plan_hash"]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -123,10 +123,6 @@ class RunHandle:
             )
         self._buffers[worker_id].append(Span(worker_id, duration, phase_label))
 
-    @property
-    def span_count(self) -> int:
-        return sum(len(b) for b in self._buffers)
-
     def finish(self, wall_clock: Optional[float] = None) -> RunRecord:
         """Close the run and freeze its record.
 
@@ -156,23 +152,13 @@ class RunHandle:
 def _flag_coverage(rec: RunRecord) -> RunRecord:
     covered = {s.worker_id for s in rec.spans}
     if len(covered) < rec.workers and INCOMPLETE_COVERAGE not in rec.flags:
-        return RunRecord(
-            **{**rec.__dict__, "flags": rec.flags + (INCOMPLETE_COVERAGE,)}
-        )
+        return replace(rec, flags=rec.flags + (INCOMPLETE_COVERAGE,))
     return rec
 
 
 def begin_run(workload_id: str, workers: int, problem_size: int, seed: int) -> RunHandle:
     """Open a run: starts the wall clock and returns the span-accepting handle."""
     return RunHandle(workload_id, workers, problem_size, seed)
-
-
-def record_span(handle: RunHandle, worker_id: int, duration: float, phase_label: str) -> None:
-    handle.record_span(worker_id, duration, phase_label)
-
-
-def finish_run(handle: RunHandle, wall_clock: Optional[float] = None) -> RunRecord:
-    return handle.finish(wall_clock)
 
 
 def aggregate(record: RunRecord) -> TimingBreakdown:

@@ -10,7 +10,6 @@ import io
 from dataclasses import dataclass
 from typing import Optional
 
-from .fixture import FixtureValidation, validate_fixture  # re-exported
 from .harness import CellResult, ResultSet
 from .metrics import infer_gustafson_fraction
 
@@ -20,8 +19,6 @@ __all__ = [
     "strong_scaling_csv",
     "weak_scaling_tables",
     "scalability_verdict",
-    "validate_fixture",
-    "FixtureValidation",
 ]
 
 FLAG_CLAMPED = "clamped_overhead"

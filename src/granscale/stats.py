@@ -1,4 +1,4 @@
-"""Repetition statistics: Tukey 1.5*IQR outlier rejection and averaging.
+"""Repetition statistics: quartiles and Tukey 1.5*IQR outlier rejection.
 
 Quartiles use linear interpolation on order statistics (the type-7
 convention, numpy's default), stated explicitly so results reproduce
@@ -8,28 +8,13 @@ bit-for-bit elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-DEFAULT_REPETITIONS = 10
-
 # Fences only apply from this many samples; below it every value is kept.
 MIN_SAMPLES_FOR_REJECTION = 3
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Metric values for one (workload, workers, problem_size) cell."""
-
-    cell_key: tuple
-    values: tuple[float, ...]
-    target_repetitions: int = DEFAULT_REPETITIONS
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("SampleSet requires at least one value")
 
 
 @dataclass(frozen=True)
@@ -66,13 +51,3 @@ def filter_outliers(values: Sequence[float], side: str = "both") -> OutlierDecis
     rejected = tuple(v for v in vals if not lower <= v <= upper)
     return OutlierDecision(kept=kept, rejected=rejected, fences=(lower, upper))
 
-
-def summarize(samples: SampleSet, side: str = "both") -> tuple[float, int, int]:
-    """Mean of the kept values after outlier rejection, with kept/rejected counts."""
-    decision = filter_outliers(samples.values, side=side)
-    if not decision.kept:
-        # Tukey fences always contain the median, so this cannot happen;
-        # guard anyway rather than return NaN.
-        raise RuntimeError("all samples rejected")
-    mean = float(np.mean(decision.kept))
-    return mean, len(decision.kept), len(decision.rejected)

@@ -37,10 +37,6 @@ class SyntheticSpec:
             raise ValueError("iterations must be >= 1")
 
 
-def _occupy(seconds: float) -> None:
-    time.sleep(seconds)
-
-
 def synthetic_run(spec: SyntheticSpec, workers: int, run_handle: RunHandle) -> RunRecord:
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -59,11 +55,11 @@ def synthetic_run(spec: SyntheticSpec, workers: int, run_handle: RunHandle) -> R
     def body(w, barrier):
         for _ in range(spec.iterations):
             t0 = time.perf_counter()
-            _occupy(compute_s)
+            time.sleep(compute_s)
             t1 = time.perf_counter()
             run_handle.record_span(w, t1 - t0, "busy")
             barrier.wait()
-            _occupy(exchange_s)  # exchange section: untimed, lands in overhead
+            time.sleep(exchange_s)  # exchange section: untimed, lands in overhead
             barrier.wait()
 
     run_workers(workers, body)

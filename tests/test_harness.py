@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
 import json
+import logging
 
 import pytest
 
+from granscale import cli, harness
 from granscale.harness import (
     CellExecutionError,
     CellResult,
@@ -50,6 +54,22 @@ class TestPlanValidation:
         ):
             plan = sim_plan(workload=wl)
             assert ExperimentPlan.from_dict(plan.to_dict()).workload == wl
+
+    def test_from_dict_defaults_and_unknown_keys(self):
+        obj = {"workload": {"kind": "synthetic", "compute_ms_per_worker": 5,
+                            "exchange_ms_per_worker": 1},
+               "mode": "weak", "worker_counts": [1, 2], "base_problem_size": 4,
+               "comment": "ignored"}
+        plan = ExperimentPlan.from_dict(obj)
+        assert plan == ExperimentPlan(SyntheticSpec(5, 1), "weak", (1, 2), 4)
+        for sizes in ([], None):
+            assert ExperimentPlan.from_dict({**obj, "problem_sizes": sizes}).problem_sizes is None
+
+    def test_unknown_kind(self):
+        obj = sim_plan().to_dict()
+        obj["workload"]["kind"] = "fft"
+        with pytest.raises(ValueError, match="unknown workload kind"):
+            ExperimentPlan.from_dict(obj)
 
 
 class TestPlanCells:
@@ -149,6 +169,29 @@ class TestRunPlan:
         resume(tmp_path / "trunc.jsonl")
         assert (tmp_path / "trunc.jsonl").read_text().startswith(prefix)
 
+    def _slow_run_plan(self, monkeypatch, walls, **overrides):
+        # Simulated runs whose wall clocks follow `walls` (warm-up first).
+        walls = iter(walls)
+        real = harness.synthetic_run
+
+        def run(spec, workers, handle):
+            return dataclasses.replace(real(spec, workers, handle), wall_clock=next(walls))
+
+        monkeypatch.setattr(harness, "synthetic_run", run)
+        plan = sim_plan(worker_counts=(1,), problem_sizes=(1,), base_problem_size=1,
+                        repetitions=5, measure_serial_baseline=False, **overrides)
+        return run_plan(plan).cells[0]
+
+    def test_outlier_dropped_and_refilled(self, monkeypatch):
+        cell = self._slow_run_plan(monkeypatch, [0.006] * 5 + [0.06, 0.006])
+        assert (cell.kept, cell.rejected) == (5, 1)
+        assert cell.mean_wall == pytest.approx(0.006)
+
+    def test_outlier_dropped_without_refill(self, monkeypatch):
+        cell = self._slow_run_plan(monkeypatch, [0.006] * 5 + [0.06], rerun_outliers=False)
+        assert (cell.kept, cell.rejected) == (4, 1)
+        assert cell.mean_wall == pytest.approx(0.006)
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         plan = sim_plan()
         monkeypatch.setenv("GRANSCALE_SEED", "999")
@@ -204,6 +247,17 @@ class TestResume:
         with pytest.raises(ValueError, match="line 3"):
             resume(bad)
 
+    def test_torn_final_line_resumed(self, tmp_path, caplog):
+        # A crash 20 bytes before the end of the last line's write.
+        plan, out = self._full_run(tmp_path)
+        full = out.read_bytes()
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(full[:-21])
+        with caplog.at_level(logging.WARNING, logger="granscale"):
+            resume(torn)
+        assert torn.read_bytes() == full
+        assert "torn final line" in caplog.text
+
 
 class TestCellResult:
     def test_round_trip(self):
@@ -211,3 +265,43 @@ class TestCellResult:
         res = run_plan(plan)
         for cell in res.cells:
             assert CellResult.from_dict(json.loads(json.dumps(cell.to_dict()))) == cell
+
+
+# Results file of TestPinnedBytes._plan, byte for byte: simulate mode makes
+# every number exact, so any change to the harness that alters a result, a
+# key order or the header shows up here.
+PINNED_RESULTS = (
+    '{"plan_hash": "f65e5e6e3490eca06706ba4450446f7661b57c6f63a9fd3c154e0f58f328af3b", "plan": {"workload": {"kind": "synthetic", "compute_ms_per_worker": 5, "exchange_ms_per_worker": 1, "iterations": 1, "simulate": true}, "mode": "strong", "worker_counts": [1, 2, 4], "base_problem_size": 4, "problem_sizes": [4, 8], "repetitions": 3, "measure_serial_baseline": true, "seed": 7, "rerun_outliers": true, "outlier_side": "both"}, "tool_version": "0.1.0"}',
+    '{"workload_id": "synthetic", "workers": 1, "problem_size": 4, "mean_wall": 0.024000000000000004, "mean_total_comp": 0.02, "overhead": 0.0040000000000000036, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 0.8333333333333333, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": -0.16666666666666674}',
+    '{"workload_id": "synthetic", "workers": 1, "problem_size": 8, "mean_wall": 0.04800000000000001, "mean_total_comp": 0.04, "overhead": 0.008000000000000007, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 0.8333333333333333, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": -0.16666666666666674}',
+    '{"workload_id": "synthetic", "workers": 2, "problem_size": 4, "mean_wall": 0.024000000000000004, "mean_total_comp": 0.04, "overhead": 0.008000000000000007, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 1.6666666666666665, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": 0.6666666666666665}',
+    '{"workload_id": "synthetic", "workers": 2, "problem_size": 8, "mean_wall": 0.04800000000000001, "mean_total_comp": 0.08, "overhead": 0.016000000000000014, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 1.6666666666666665, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": 0.6666666666666665}',
+    '{"workload_id": "synthetic", "workers": 4, "problem_size": 4, "mean_wall": 0.024000000000000004, "mean_total_comp": 0.08, "overhead": 0.016000000000000014, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 3.333333333333333, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": 2.333333333333333}',
+    '{"workload_id": "synthetic", "workers": 4, "problem_size": 8, "mean_wall": 0.04800000000000001, "mean_total_comp": 0.16000000000000006, "overhead": 0.03199999999999997, "granularity": 5.000000000000006, "efficiency": 0.8333333333333335, "estimated_speedup": 3.333333333333334, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": 2.333333333333334}',
+)
+
+# sha256 of `granscale report --format json` on that file.
+PINNED_REPORT_SHA256 = "e8e2d2b5b67540cd0c4fd4ac4b5fece2823380693d3905d9c363e064a53b498c"
+
+
+class TestPinnedBytes:
+    def _plan(self):
+        return ExperimentPlan(
+            workload=SyntheticSpec(5, 1, 1, simulate=True), mode="strong",
+            worker_counts=(1, 2, 4), base_problem_size=4, problem_sizes=(4, 8),
+            repetitions=3, seed=7,
+        )
+
+    def test_results_file_bytes(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        run_plan(self._plan(), out_path=out)
+        assert out.read_text().splitlines() == list(PINNED_RESULTS)
+        assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("dfa6028d757f5b5c")
+
+    def test_json_report_bytes(self, tmp_path):
+        results = tmp_path / "r.jsonl"
+        results.write_text("\n".join(PINNED_RESULTS) + "\n")
+        report = tmp_path / "report.json"
+        assert cli.main(["report", "--in", str(results), "--format", "json",
+                         "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_REPORT_SHA256

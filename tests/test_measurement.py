@@ -6,18 +6,17 @@ import pytest
 from granscale.measurement import (
     INCOMPLETE_COVERAGE,
     RunRecord,
+    Span,
     aggregate,
     begin_run,
-    finish_run,
-    record_span,
 )
 
 
 class TestBeginRun:
     def test_fresh_handle(self):
         h = begin_run("kmeans", 4, 983040, 42)
-        assert h.span_count == 0
         assert h.workers == 4
+        assert h.finish().spans == ()
 
     def test_single_worker(self):
         h = begin_run("pi", 1, 10_000_000, 7)
@@ -31,30 +30,30 @@ class TestBeginRun:
 class TestRecordSpan:
     def test_appends(self):
         h = begin_run("w", 4, 10, 0)
-        record_span(h, 0, 0.010, "assign")
-        assert h.span_count == 1
+        h.record_span(0, 0.010, "assign")
+        assert h.finish().spans == (Span(0, 0.010, "assign"),)
 
     def test_out_of_range_worker(self):
         h = begin_run("w", 4, 10, 0)
         with pytest.raises(ValueError):
-            record_span(h, 99, 0.010, "assign")
+            h.record_span(99, 0.010, "assign")
 
     def test_zero_duration_allowed(self):
         h = begin_run("w", 4, 10, 0)
-        record_span(h, 0, 0.0, "assign")
-        assert h.span_count == 1
+        h.record_span(0, 0.0, "assign")
+        assert h.finish().spans == (Span(0, 0.0, "assign"),)
 
     def test_negative_duration_rejected(self):
         h = begin_run("w", 1, 10, 0)
         with pytest.raises(ValueError):
-            record_span(h, 0, -0.001, "assign")
+            h.record_span(0, -0.001, "assign")
 
     def test_finished_handle_rejects(self):
         h = begin_run("w", 1, 10, 0)
-        record_span(h, 0, 0.1, "assign")
-        finish_run(h)
+        h.record_span(0, 0.1, "assign")
+        h.finish()
         with pytest.raises(RuntimeError):
-            record_span(h, 0, 0.1, "assign")
+            h.record_span(0, 0.1, "assign")
 
 
 class TestFinishRun:
@@ -62,51 +61,51 @@ class TestFinishRun:
         h = begin_run("w", 4, 10, 0)
         for w in range(4):
             for _ in range(3):
-                record_span(h, w, 0.01, "assign")
-        rec = finish_run(h)
+                h.record_span(w, 0.01, "assign")
+        rec = h.finish()
         assert len(rec.spans) == 12
         assert rec.flags == ()
 
     def test_incomplete_worker_coverage_flagged(self):
         h = begin_run("w", 2, 10, 0)
-        record_span(h, 0, 0.01, "assign")
-        rec = finish_run(h)
+        h.record_span(0, 0.01, "assign")
+        rec = h.finish()
         assert INCOMPLETE_COVERAGE in rec.flags
 
     def test_double_finish(self):
         h = begin_run("w", 1, 10, 0)
-        record_span(h, 0, 0.1, "a")
-        finish_run(h)
+        h.record_span(0, 0.1, "a")
+        h.finish()
         with pytest.raises(RuntimeError):
-            finish_run(h)
+            h.finish()
 
     def test_wall_clock_override(self):
         h = begin_run("w", 1, 10, 0)
-        record_span(h, 0, 0.5, "busy")
-        rec = finish_run(h, wall_clock=1.25)
+        h.record_span(0, 0.5, "busy")
+        rec = h.finish(wall_clock=1.25)
         assert rec.wall_clock == 1.25
 
 
 class TestAggregate:
     def test_summation(self):
         h = begin_run("w", 2, 10, 0)
-        record_span(h, 0, 2.0, "a")
-        record_span(h, 1, 2.0, "a")
-        rec = finish_run(h, wall_clock=2.5)
+        h.record_span(0, 2.0, "a")
+        h.record_span(1, 2.0, "a")
+        rec = h.finish(wall_clock=2.5)
         b = aggregate(rec)
         assert (b.workers, b.wall_clock, b.total_comp) == (2, 2.5, 4.0)
 
     def test_serial(self):
         h = begin_run("w", 1, 10, 0)
-        record_span(h, 0, 5.0, "a")
-        b = aggregate(finish_run(h, wall_clock=5.0))
+        h.record_span(0, 5.0, "a")
+        b = aggregate(h.finish(wall_clock=5.0))
         assert (b.workers, b.wall_clock, b.total_comp) == (1, 5.0, 5.0)
 
     def test_budget_violation_rejected(self):
         h = begin_run("w", 4, 10, 0)
         for w in range(4):
-            record_span(h, w, 10.25, "a")
-        rec = finish_run(h, wall_clock=10.0)
+            h.record_span(w, 10.25, "a")
+        rec = h.finish(wall_clock=10.0)
         with pytest.raises(ValueError):
             aggregate(rec)
 
@@ -114,8 +113,8 @@ class TestAggregate:
         def build(order):
             h = begin_run("w", 3, 10, 0)
             for w, d in order:
-                record_span(h, w, d, "a")
-            return aggregate(finish_run(h, wall_clock=10.0))
+                h.record_span(w, d, "a")
+            return aggregate(h.finish(wall_clock=10.0))
 
         spans = [(0, 1.0), (1, 2.0), (2, 3.0), (0, 0.5)]
         assert build(spans).total_comp == build(list(reversed(spans))).total_comp
@@ -128,14 +127,14 @@ class TestConcurrentRecording:
 
         def submit(w):
             for _ in range(k):
-                record_span(h, w, d, "busy")
+                h.record_span(w, d, "busy")
 
         threads = [threading.Thread(target=submit, args=(w,)) for w in range(workers)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        rec = finish_run(h, wall_clock=1.0)
+        rec = h.finish(wall_clock=1.0)
         assert len(rec.spans) == workers * k
         b = aggregate(rec)
         assert b.total_comp == pytest.approx(workers * k * d)
@@ -150,8 +149,8 @@ class TestTimerFidelity:
         while time.perf_counter() - t0 < target:
             pass
         measured = time.perf_counter() - t0
-        record_span(h, 0, measured, "busy")
-        rec = finish_run(h)
+        h.record_span(0, measured, "busy")
+        rec = h.finish()
         assert abs(rec.spans[0].duration - target) <= max(0.001, 0.05 * target)
         assert rec.wall_clock >= rec.spans[0].duration
 
@@ -159,9 +158,9 @@ class TestTimerFidelity:
 class TestSerialization:
     def test_json_round_trip(self):
         h = begin_run("kmeans", 2, 100, 42)
-        record_span(h, 0, 0.25, "assign")
-        record_span(h, 1, 0.5, "update")
-        rec = finish_run(h, wall_clock=1.0)
+        h.record_span(0, 0.25, "assign")
+        h.record_span(1, 0.5, "update")
+        rec = h.finish(wall_clock=1.0)
         back = RunRecord.from_json(rec.to_json())
         assert back == rec
 
@@ -169,8 +168,8 @@ class TestSerialization:
         import json
 
         h = begin_run("pi", 1, 100, 7)
-        record_span(h, 0, 0.1, "sample")
-        obj = json.loads(finish_run(h).to_json())
+        h.record_span(0, 0.1, "sample")
+        obj = json.loads(h.finish().to_json())
         assert set(obj) == {
             "run_id", "workload_id", "workers", "problem_size", "seed",
             "wall_clock_s", "iterations", "started_at", "spans",

@@ -4,7 +4,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from granscale.stats import OutlierDecision, SampleSet, filter_outliers, quartiles, summarize
+from granscale.stats import OutlierDecision, filter_outliers, quartiles
 
 
 class TestQuartiles:
@@ -61,26 +61,6 @@ class TestFilterOutliers:
             filter_outliers([1, 2, 3], side="lower")
 
 
-class TestSummarize:
-    def test_identical_values(self):
-        s = SampleSet(("w", 1, 10), (2.0, 2.0, 2.0))
-        assert summarize(s) == (2.0, 3, 0)
-
-    def test_with_rejection(self):
-        s = SampleSet(("w", 1, 10), (10, 11, 12, 13, 50))
-        mean, kept, rejected = summarize(s)
-        assert mean == pytest.approx(11.5)
-        assert (kept, rejected) == (4, 1)
-
-    def test_single_sample(self):
-        s = SampleSet(("w", 1, 10), (1.0,))
-        assert summarize(s) == (1.0, 1, 0)
-
-    def test_empty_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            SampleSet(("w", 1, 10), ())
-
-
 class TestProperties:
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=50)
@@ -130,12 +110,3 @@ class TestProperties:
         for v in d.rejected:
             assert v in remaining
             remaining.remove(v)
-
-    @given(
-        st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=30)
-    )
-    def test_mean_within_kept_range(self, values):
-        s = SampleSet(("w", 1, 1), tuple(values))
-        mean, kept, _ = summarize(s)
-        d = filter_outliers(values)
-        assert min(d.kept) - 1e-9 <= mean <= max(d.kept) + 1e-9
