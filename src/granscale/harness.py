@@ -189,44 +189,28 @@ class CellResult:
         return (self.workload_id, self.workers, self.problem_size)
 
     def to_dict(self) -> dict:
-        return {
-            "workload_id": self.workload_id,
-            "workers": self.workers,
-            "problem_size": self.problem_size,
-            "mean_wall": self.mean_wall,
-            "mean_total_comp": self.mean_total_comp,
-            "overhead": self.metrics.overhead,
-            "granularity": self.metrics.granularity,
-            "efficiency": self.metrics.efficiency,
-            "estimated_speedup": self.metrics.estimated_speedup,
-            "overhead_clamped": self.metrics.overhead_clamped,
-            "kept": self.kept,
-            "rejected": self.rejected,
-            "actual_speedup": self.actual_speedup,
-            "relative_error": self.relative_error,
-        }
+        """One results line: the fields in order, with metrics' fields in its place."""
+        obj = {}
+        for f in dataclasses.fields(self):
+            if f.name == "metrics":
+                obj.update(dataclasses.asdict(self.metrics))
+            else:
+                obj[f.name] = getattr(self, f.name)
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CellResult":
-        metrics = GranularityMetrics(
-            overhead=obj["overhead"],
-            granularity=obj["granularity"],
-            efficiency=obj["efficiency"],
-            estimated_speedup=obj["estimated_speedup"],
-            overhead_clamped=obj["overhead_clamped"],
-        )
-        return cls(
-            workload_id=obj["workload_id"],
-            workers=obj["workers"],
-            problem_size=obj["problem_size"],
-            mean_wall=obj["mean_wall"],
-            mean_total_comp=obj["mean_total_comp"],
-            metrics=metrics,
-            kept=obj["kept"],
-            rejected=obj["rejected"],
-            actual_speedup=obj.get("actual_speedup"),
-            relative_error=obj.get("relative_error"),
-        )
+        """Inverse of to_dict; only fields with a default may be absent.
+
+        Every metrics key is required, including those GranularityMetrics
+        defaults, so a truncated line never loads as a valid cell.
+        """
+        kwargs = {
+            f.name: obj[f.name] if f.default is dataclasses.MISSING else obj.get(f.name, f.default)
+            for f in dataclasses.fields(cls) if f.name != "metrics"
+        }
+        metrics = {f.name: obj[f.name] for f in dataclasses.fields(GranularityMetrics)}
+        return cls(**kwargs, metrics=GranularityMetrics(**metrics))
 
 
 @dataclass
@@ -302,7 +286,7 @@ def _load_results_file(path: Path) -> tuple[dict, list[CellResult]]:
         header = json.loads(lines[0])
         if "plan_hash" not in header or "plan" not in header:
             raise ValueError("missing header fields")
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: corrupt header at line 1: {exc}") from exc
     cells = []
     for i, line in enumerate(lines[1:], start=2):
@@ -310,7 +294,7 @@ def _load_results_file(path: Path) -> tuple[dict, list[CellResult]]:
             continue
         try:
             cells.append(CellResult.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: corrupt record at line {i}: {exc}") from exc
     return header, cells
 
@@ -453,12 +437,10 @@ def resume(results_path: Union[str, Path], pin_cores: bool = False) -> ResultSet
     The plan is reconstructed from the file header; completed cells are kept
     verbatim and only missing cells execute. A torn final line, left by a
     crash during its write, is dropped with a warning and its cell re-run.
+    run_plan checks the header's plan hash against the plan.
     """
     _drop_torn_tail(Path(results_path))
-    header, _ = _load_results_file(Path(results_path))
-    plan = ExperimentPlan.from_dict(header["plan"])
-    if plan_hash(plan) != header["plan_hash"]:
-        raise ValueError("plan mismatch")
+    plan = load_results(results_path).plan
     return run_plan(plan, out_path=results_path, resume=True, pin_cores=pin_cores)
 
 

@@ -5,9 +5,10 @@ and closed once they have joined. Workers record the durations of their
 compute regions as spans; everything outside spans (barriers, exchanges,
 scheduling) falls into the overhead term by construction.
 
-Span submission appends to a per-worker buffer, so recording never blocks
-another worker and costs nothing inside a timed region (the caller times
-the region itself and reports the finished duration).
+Workers time a compute region with `RunHandle.span`, which reads the clock
+around the block and records the span once the block completes. Span
+submission appends to a per-worker buffer, so recording never blocks
+another worker and happens outside the timed region.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import json
 import time
 import uuid
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Iterator, Optional
 
 from .metrics import TimingBreakdown
 
@@ -50,7 +52,13 @@ class RunRecord:
     spans: tuple[Span, ...]
     iterations: int
     started_at: str
-    flags: tuple[str, ...] = ()
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Derived from the spans, so they survive any serialisation."""
+        if len({s.worker_id for s in self.spans}) < self.workers:
+            return (INCOMPLETE_COVERAGE,)
+        return ()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -76,7 +84,7 @@ class RunRecord:
         spans = tuple(
             Span(s["worker"], s["duration_s"], s["phase"]) for s in obj["spans"]
         )
-        rec = cls(
+        return cls(
             run_id=obj["run_id"],
             workload_id=obj["workload_id"],
             workers=obj["workers"],
@@ -87,7 +95,6 @@ class RunRecord:
             iterations=obj["iterations"],
             started_at=obj["started_at"],
         )
-        return _flag_coverage(rec)
 
 
 class RunHandle:
@@ -123,6 +130,13 @@ class RunHandle:
             )
         self._buffers[worker_id].append(Span(worker_id, duration, phase_label))
 
+    @contextmanager
+    def span(self, worker_id: int, phase_label: str) -> Iterator[None]:
+        """Time the enclosed block as one span; a block that raises records nothing."""
+        t0 = time.perf_counter()
+        yield
+        self.record_span(worker_id, time.perf_counter() - t0, phase_label)
+
     def finish(self, wall_clock: Optional[float] = None) -> RunRecord:
         """Close the run and freeze its record.
 
@@ -135,7 +149,7 @@ class RunHandle:
         if wall_clock is None:
             wall_clock = time.perf_counter() - self._start
         spans = tuple(s for buf in self._buffers for s in buf)
-        rec = RunRecord(
+        return RunRecord(
             run_id=self.run_id,
             workload_id=self.workload_id,
             workers=self.workers,
@@ -146,14 +160,6 @@ class RunHandle:
             iterations=self.iterations,
             started_at=self.started_at,
         )
-        return _flag_coverage(rec)
-
-
-def _flag_coverage(rec: RunRecord) -> RunRecord:
-    covered = {s.worker_id for s in rec.spans}
-    if len(covered) < rec.workers and INCOMPLETE_COVERAGE not in rec.flags:
-        return replace(rec, flags=rec.flags + (INCOMPLETE_COVERAGE,))
-    return rec
 
 
 def begin_run(workload_id: str, workers: int, problem_size: int, seed: int) -> RunHandle:

@@ -12,7 +12,6 @@ single-worker run reproduces the serial implementation exactly.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import product
 
@@ -160,15 +159,10 @@ def kmeans_parallel(
         centroids = init.copy()
         iters = 0
         for _ in range(spec.max_iterations):
-            t0 = time.perf_counter()
-            labels = _assign(chunk, centroids)
-            t1 = time.perf_counter()
-            run_handle.record_span(w, t1 - t0, "assign")
-
-            t0 = time.perf_counter()
-            counts, sums = _partials(chunk, labels, k)
-            t1 = time.perf_counter()
-            run_handle.record_span(w, t1 - t0, "partial_sums")
+            with run_handle.span(w, "assign"):
+                labels = _assign(chunk, centroids)
+            with run_handle.span(w, "partial_sums"):
+                counts, sums = _partials(chunk, labels, k)
 
             partial_counts[w] = counts
             partial_sums[w] = sums
@@ -176,27 +170,23 @@ def kmeans_parallel(
 
             # Replicated centroid update; worker-order merge keeps every
             # worker's result bit-identical.
-            t0 = time.perf_counter()
-            total_counts = partial_counts[0].copy()
-            total_sums = partial_sums[0].copy()
-            for other in range(1, workers):
-                total_counts += partial_counts[other]
-                total_sums += partial_sums[other]
-            new = _update(total_sums, total_counts, centroids)
-            displacement = float(np.max(np.abs(new - centroids)))
-            centroids = new
-            t1 = time.perf_counter()
-            run_handle.record_span(w, t1 - t0, "update")
+            with run_handle.span(w, "update"):
+                total_counts = partial_counts[0].copy()
+                total_sums = partial_sums[0].copy()
+                for other in range(1, workers):
+                    total_counts += partial_counts[other]
+                    total_sums += partial_sums[other]
+                new = _update(total_sums, total_counts, centroids)
+                displacement = float(np.max(np.abs(new - centroids)))
+                centroids = new
 
             iters += 1
             barrier.wait()  # partials consumed before the next overwrite
             if displacement < spec.convergence_epsilon:
                 break
 
-        t0 = time.perf_counter()
-        labels_out[lo:hi] = _assign(chunk, centroids)
-        t1 = time.perf_counter()
-        run_handle.record_span(w, t1 - t0, "assign")
+        with run_handle.span(w, "assign"):
+            labels_out[lo:hi] = _assign(chunk, centroids)
         iterations_done[w] = iters
         if w == 0:
             final["centroids"] = centroids

@@ -9,7 +9,6 @@ reduction is not.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +66,8 @@ def monte_carlo_pi(
             m = sizes[shard]
             if m == 0:
                 continue
-            t0 = time.perf_counter()
-            shard_hits[shard] = _sample_shard(spec.seed, shard, m)
-            t1 = time.perf_counter()
-            run_handle.record_span(w, t1 - t0, "sample")
+            with run_handle.span(w, "sample"):
+                shard_hits[shard] = _sample_shard(spec.seed, shard, m)
             recorded = True
         if not recorded:
             # Keep worker coverage complete even when the worker drew no

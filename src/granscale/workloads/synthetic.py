@@ -1,13 +1,20 @@
 """Synthetic workload with an analytically known compute/overhead ratio.
 
 Each worker alternates a timed "busy" phase of compute_ms with an untimed
-exchange phase of exchange_ms inside a barrier section, so the expected
+exchange phase of exchange_ms that opens with a barrier, so the expected
 granularity is exactly compute_ms / exchange_ms regardless of worker count.
 
 Occupation is realized with monotonic sleeps rather than a spin loop: a
 Python spin holds the GIL and would serialize the workers, destroying the
 analytic construction the workload exists to provide. Sleeping workers
 overlap freely, so the ratio holds even on a single core.
+
+Phases end on a fixed schedule rather than after fixed sleeps: iteration k
+computes until origin + k*period + compute_ms, then meets the barrier and
+sleeps out the period. Barrier latency is thus spent inside exchange_ms,
+and a late wake-up moves time between the two phases of one iteration
+instead of lengthening the run, where each millisecond would add p
+milliseconds of overhead.
 
 With simulate=True no threads run at all; spans and wall clock are the
 exact nominal durations. That mode is the fully deterministic variant used
@@ -52,16 +59,23 @@ def synthetic_run(spec: SyntheticSpec, workers: int, run_handle: RunHandle) -> R
             wall_clock=spec.iterations * (compute_s + exchange_s)
         )
 
+    period_s = compute_s + exchange_s
+    origin = time.perf_counter()
+
     def body(w, barrier):
-        for _ in range(spec.iterations):
-            t0 = time.perf_counter()
-            time.sleep(compute_s)
-            t1 = time.perf_counter()
-            run_handle.record_span(w, t1 - t0, "busy")
+        for k in range(spec.iterations):
+            with run_handle.span(w, "busy"):
+                _sleep_until(origin + k * period_s + compute_s)
+            # exchange section: untimed, lands in overhead
             barrier.wait()
-            time.sleep(exchange_s)  # exchange section: untimed, lands in overhead
-            barrier.wait()
+            _sleep_until(origin + (k + 1) * period_s)
 
     run_workers(workers, body)
     run_handle.iterations = spec.iterations
     return run_handle.finish()
+
+
+def _sleep_until(deadline: float) -> None:
+    remaining = deadline - time.perf_counter()
+    if remaining > 0:
+        time.sleep(remaining)

@@ -247,6 +247,33 @@ class TestResume:
         with pytest.raises(ValueError, match="line 3"):
             resume(bad)
 
+    @pytest.mark.parametrize("line_no, text, where", [
+        (2, "[]", "record at line 2"),
+        (2, "null", "record at line 2"),
+        (2, "42", "record at line 2"),
+        (1, "42", "header at line 1"),
+        (1, "null", "header at line 1"),
+    ])
+    def test_non_object_line_named(self, tmp_path, line_no, text, where):
+        plan, out = self._full_run(tmp_path)
+        lines = out.read_text().splitlines()
+        lines[line_no - 1] = text
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        for load in (load_results, resume):
+            with pytest.raises(ValueError, match="corrupt " + where):
+                load(bad)
+
+    def test_resume_plan_mismatch(self, tmp_path):
+        plan, out = self._full_run(tmp_path)
+        lines = out.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["plan_hash"] = "0" * 64
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="plan mismatch"):
+            resume(edited)
+
     def test_torn_final_line_resumed(self, tmp_path, caplog):
         # A crash 20 bytes before the end of the last line's write.
         plan, out = self._full_run(tmp_path)
@@ -265,6 +292,35 @@ class TestCellResult:
         res = run_plan(plan)
         for cell in res.cells:
             assert CellResult.from_dict(json.loads(json.dumps(cell.to_dict()))) == cell
+
+    REQUIRED = ("workload_id", "workers", "problem_size", "mean_wall", "mean_total_comp",
+                "overhead", "granularity", "efficiency", "estimated_speedup",
+                "overhead_clamped", "kept", "rejected")
+
+    def _results_lines(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        run_plan(sim_plan(), out_path=out)
+        return out.read_text().splitlines()
+
+    @pytest.mark.parametrize("key", REQUIRED)
+    def test_missing_required_key(self, tmp_path, key):
+        header, first, *_ = self._results_lines(tmp_path)
+        obj = json.loads(first)
+        del obj[key]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match="corrupt record at line 2"):
+            load_results(bad)
+
+    def test_optional_keys_default_to_none(self, tmp_path):
+        header, first, *_ = self._results_lines(tmp_path)
+        obj = json.loads(first)
+        assert list(obj)[-2:] == ["actual_speedup", "relative_error"]
+        del obj["actual_speedup"], obj["relative_error"]
+        short = tmp_path / "short.jsonl"
+        short.write_text(header + "\n" + json.dumps(obj) + "\n")
+        (cell,) = load_results(short).cells
+        assert (cell.actual_speedup, cell.relative_error) == (None, None)
 
 
 # Results file of TestPinnedBytes._plan, byte for byte: simulate mode makes

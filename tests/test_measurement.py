@@ -56,6 +56,29 @@ class TestRecordSpan:
             h.record_span(0, 0.1, "assign")
 
 
+class TestSpanContext:
+    def test_records_one_span(self):
+        h = begin_run("w", 2, 10, 0)
+        with h.span(1, "update"):
+            pass
+        (span,) = h.finish().spans
+        assert (span.worker_id, span.phase_label) == (1, "update")
+        assert span.duration >= 0
+
+    def test_raising_block_records_nothing(self):
+        h = begin_run("w", 1, 10, 0)
+        with pytest.raises(KeyError):
+            with h.span(0, "assign"):
+                raise KeyError("boom")
+        assert h.finish().spans == ()
+
+    def test_out_of_range_worker(self):
+        h = begin_run("w", 2, 10, 0)
+        with pytest.raises(ValueError):
+            with h.span(2, "assign"):
+                pass
+
+
 class TestFinishRun:
     def test_span_counting(self):
         h = begin_run("w", 4, 10, 0)
@@ -71,6 +94,15 @@ class TestFinishRun:
         h.record_span(0, 0.01, "assign")
         rec = h.finish()
         assert INCOMPLETE_COVERAGE in rec.flags
+
+    def test_incomplete_coverage_survives_json(self):
+        h = begin_run("w", 3, 10, 0)
+        h.record_span(0, 0.01, "assign")
+        h.record_span(2, 0.02, "assign")
+        rec = h.finish(wall_clock=0.5)
+        back = RunRecord.from_json(rec.to_json())
+        assert INCOMPLETE_COVERAGE in back.flags
+        assert back == rec
 
     def test_double_finish(self):
         h = begin_run("w", 1, 10, 0)
