@@ -278,7 +278,9 @@ def _measure_cell(plan: ExperimentPlan, workers: int, size: int) -> _CellMeasure
     )
 
 
-def _load_results_file(path: Path) -> tuple[dict, list[CellResult]]:
+def load_results(results_path: Union[str, Path]) -> ResultSet:
+    """Read a results file back into a ResultSet."""
+    path = Path(results_path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty results file")
@@ -286,7 +288,8 @@ def _load_results_file(path: Path) -> tuple[dict, list[CellResult]]:
         header = json.loads(lines[0])
         if "plan_hash" not in header or "plan" not in header:
             raise ValueError("missing header fields")
-    except (ValueError, TypeError) as exc:
+        plan = ExperimentPlan.from_dict(header["plan"])
+    except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"{path}: corrupt header at line 1: {exc}") from exc
     cells = []
     for i, line in enumerate(lines[1:], start=2):
@@ -296,7 +299,7 @@ def _load_results_file(path: Path) -> tuple[dict, list[CellResult]]:
             cells.append(CellResult.from_dict(json.loads(line)))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: corrupt record at line {i}: {exc}") from exc
-    return header, cells
+    return ResultSet(plan=plan, plan_hash=header["plan_hash"], cells=cells)
 
 
 def _drop_torn_tail(path: Path) -> None:
@@ -358,10 +361,10 @@ def run_plan(
         out_path = Path(out_path)
         if resume and out_path.exists():
             _drop_torn_tail(out_path)
-            header, prior = _load_results_file(out_path)
-            if header["plan_hash"] != h:
+            prior = load_results(out_path)
+            if prior.plan_hash != h:
                 raise ValueError("plan mismatch")
-            completed = {c.cell_key: c for c in prior}
+            completed = {c.cell_key: c for c in prior.cells}
             out_file = out_path.open("a")
         else:
             out_file = out_path.open("w")
@@ -377,18 +380,22 @@ def run_plan(
 
     def baseline_wall(size: int) -> float:
         if size not in baselines:
+            log.info("serial baseline (p=1, size=%d)", size)
             baselines[size] = _measure_cell(plan, 1, size).mean_wall
         return baselines[size]
 
     try:
-        for workers, size in cells:
+        for i, (workers, size) in enumerate(cells, start=1):
             key = (plan.workload_id, workers, size)
+            progress = f"cell {i}/{len(cells)} (p={workers}, size={size})"
             if key in completed:
+                log.info("%s: resumed from %s", progress, out_path)
                 prior_cell = completed[key]
                 results.cells.append(prior_cell)
                 if workers == 1:
                     baselines.setdefault(size, prior_cell.mean_wall)
                 continue
+            log.info(progress)
             try:
                 m = _measure_cell(plan, workers, size)
             except Exception as exc:
@@ -442,10 +449,3 @@ def resume(results_path: Union[str, Path], pin_cores: bool = False) -> ResultSet
     _drop_torn_tail(Path(results_path))
     plan = load_results(results_path).plan
     return run_plan(plan, out_path=results_path, resume=True, pin_cores=pin_cores)
-
-
-def load_results(results_path: Union[str, Path]) -> ResultSet:
-    """Read a results file back into a ResultSet."""
-    header, cells = _load_results_file(Path(results_path))
-    plan = ExperimentPlan.from_dict(header["plan"])
-    return ResultSet(plan=plan, plan_hash=header["plan_hash"], cells=cells)

@@ -5,6 +5,13 @@ from (seed, shard index) via PCG64. Workers process whole shards, so the
 per-shard hit counts (and therefore the estimate) are bit-identical for any
 worker count. The sampling loop is timed as compute spans; the final tally
 reduction is not.
+
+The sampling loop allocates nothing per shard or per chunk: each worker
+allocates its float and bool scratch buffers once per run, before its first
+span, and each chunk is drawn, squared, summed and compared in place.
+Worker threads live for one run, so freed temporaries let glibc trim the
+thread's heap, and the next shard faults those pages back in: page-fault
+time inside the timed `sample` spans, counted as computation.
 """
 
 from __future__ import annotations
@@ -41,14 +48,21 @@ def _shard_sizes(n_samples: int) -> list[int]:
     return [base + (1 if s < rem else 0) for s in range(N_SHARDS)]
 
 
-def _sample_shard(seed: int, shard: int, m: int) -> int:
+def _scratch(chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for chunks of up to `chunk` samples: x then y, and the hit mask."""
+    return np.empty(2 * chunk), np.empty(chunk, dtype=bool)
+
+
+def _sample_shard(seed: int, shard: int, m: int, buf: np.ndarray, mask: np.ndarray) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, shard]))
     hits = 0
     for off in range(0, m, _CHUNK):
         n = min(_CHUNK, m - off)
-        x = rng.random(n)
-        y = rng.random(n)
-        hits += int(np.count_nonzero(x * x + y * y <= 1.0))
+        xy = rng.random(out=buf[: 2 * n])  # the same stream as two draws of n: x, then y
+        np.multiply(xy, xy, out=xy)
+        x = xy[:n]
+        np.add(x, xy[n:], out=x)
+        hits += int(np.count_nonzero(np.less_equal(x, 1.0, out=mask[:n])))
     return hits
 
 
@@ -59,15 +73,17 @@ def monte_carlo_pi(
         raise ValueError("workers must be >= 1")
     sizes = _shard_sizes(spec.n_samples)
     shard_hits = [0] * N_SHARDS
+    chunk = min(_CHUNK, max(sizes))
 
     def body(w, barrier):
+        buf, mask = _scratch(chunk)  # untimed: allocated once, before the first span
         recorded = False
         for shard in range(w, N_SHARDS, workers):
             m = sizes[shard]
             if m == 0:
                 continue
             with run_handle.span(w, "sample"):
-                shard_hits[shard] = _sample_shard(spec.seed, shard, m)
+                shard_hits[shard] = _sample_shard(spec.seed, shard, m, buf, mask)
             recorded = True
         if not recorded:
             # Keep worker coverage complete even when the worker drew no

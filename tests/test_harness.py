@@ -16,6 +16,7 @@ from granscale.harness import (
     resume,
     run_plan,
 )
+from granscale.measurement import RunRecord
 from granscale.workloads import KMeansSpec, PiSpec, SyntheticSpec
 
 SIM = SyntheticSpec(compute_ms_per_worker=5, exchange_ms_per_worker=1,
@@ -208,6 +209,32 @@ class TestRunPlan:
             run_plan(plan)
         assert exc.value.cell_key == ("kmeans", 8, 4)
 
+    def test_progress_logged_per_cell(self, caplog):
+        # No p=1 cell: each size's serial baseline is measured lazily.
+        plan = sim_plan(worker_counts=(2,), problem_sizes=(4, 8))
+        with caplog.at_level(logging.INFO, logger="granscale"):
+            run_plan(plan)
+        assert caplog.messages == [
+            "cell 1/2 (p=2, size=4)",
+            "serial baseline (p=1, size=4)",
+            "cell 2/2 (p=2, size=8)",
+            "serial baseline (p=1, size=8)",
+        ]
+
+    def test_cli_run_writes_records(self, tmp_path):
+        plan_file, out, records = (tmp_path / n for n in ("plan.json", "r.jsonl", "runs.jsonl"))
+        plan_file.write_text(json.dumps(sim_plan(problem_sizes=(4, 8)).to_dict()))
+        assert cli.main(["run", "--plan", str(plan_file), "--out", str(out),
+                         "--records", str(records)]) == 0
+        cells = load_results(out).cells
+        lines = records.read_text().splitlines()
+        assert len(lines) == sum(c.kept for c in cells)
+        runs = [RunRecord.from_json(line) for line in lines]
+        assert [r.to_json() for r in runs] == lines
+        assert [(r.workers, r.problem_size) for r in runs] == [
+            (c.workers, c.problem_size) for c in cells for _ in range(c.kept)
+        ]
+
 
 class TestResume:
     def _full_run(self, tmp_path, name="full.jsonl"):
@@ -253,6 +280,14 @@ class TestResume:
         (2, "42", "record at line 2"),
         (1, "42", "header at line 1"),
         (1, "null", "header at line 1"),
+        # Headers whose plan is not a valid ExperimentPlan.
+        pytest.param(1, '{"plan_hash": "x", "plan": 42}', "header at line 1",
+                     id="plan-not-object"),
+        pytest.param(1, '{"plan_hash": "x", "plan": {"mode": "strong"}}', "header at line 1",
+                     id="plan-without-workload"),
+        pytest.param(1, json.dumps({"plan_hash": "x",
+                                    "plan": {**sim_plan().to_dict(), "mode": "sideways"}}),
+                     "header at line 1", id="plan-bad-mode"),
     ])
     def test_non_object_line_named(self, tmp_path, line_no, text, where):
         plan, out = self._full_run(tmp_path)
@@ -261,8 +296,9 @@ class TestResume:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         for load in (load_results, resume):
-            with pytest.raises(ValueError, match="corrupt " + where):
+            with pytest.raises(ValueError, match="corrupt " + where) as exc:
                 load(bad)
+            assert str(exc.value).startswith(f"{bad}: ")
 
     def test_resume_plan_mismatch(self, tmp_path):
         plan, out = self._full_run(tmp_path)
@@ -273,6 +309,21 @@ class TestResume:
         edited.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
         with pytest.raises(ValueError, match="plan mismatch"):
             resume(edited)
+
+    def test_progress_marks_resumed_cells(self, tmp_path, caplog):
+        plan, out = self._full_run(tmp_path)
+        lines = out.read_text().splitlines(keepends=True)
+        trunc = tmp_path / "trunc.jsonl"
+        trunc.write_text("".join(lines[:-1]))
+        with caplog.at_level(logging.INFO, logger="granscale"):
+            resume(trunc)
+        progress = [m for m in caplog.messages if m.startswith("cell ")]
+        assert progress == [
+            f"cell 1/4 (p=1, size=4): resumed from {trunc}",
+            f"cell 2/4 (p=1, size=8): resumed from {trunc}",
+            f"cell 3/4 (p=2, size=4): resumed from {trunc}",
+            "cell 4/4 (p=2, size=8)",
+        ]
 
     def test_torn_final_line_resumed(self, tmp_path, caplog):
         # A crash 20 bytes before the end of the last line's write.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from granscale.workloads import (
     synthetic_run,
 )
 from granscale.workloads.kmeans import _partition_bounds
+from granscale.workloads.montecarlo import _CHUNK, _sample_shard, _scratch, _shard_sizes
 
 PHASES = {"assign", "partial_sums", "update", "sample", "busy"}
 
@@ -168,6 +170,53 @@ class TestMonteCarloPi:
         _, rec = monte_carlo_pi(PiSpec(n_samples=2, seed=5), 4, h)
         assert {s.worker_id for s in rec.spans} == set(range(4))
         assert rec.flags == ()
+
+    @staticmethod
+    def _reference_hits(seed, shard, m):
+        # The definition the in-place kernel must match: two draws of n per chunk.
+        rng = np.random.default_rng(np.random.SeedSequence([seed & ((1 << 64) - 1), shard]))
+        hits = 0
+        for off in range(0, m, _CHUNK):
+            n = min(_CHUNK, m - off)
+            x = rng.random(n)
+            y = rng.random(n)
+            hits += int(np.count_nonzero(x * x + y * y <= 1.0))
+        return hits
+
+    @pytest.mark.parametrize("m", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("seed", [0, 7, -3, (1 << 64) - 1])
+    def test_sample_shard_matches_reference(self, m, seed):
+        expected = self._reference_hits(seed, 5, m)
+        # Buffers sized for this shard, and the run-wide size a smaller
+        # shard shares with the largest one.
+        for chunk in {min(_CHUNK, m), _CHUNK}:
+            buf, mask = _scratch(chunk)
+            assert _sample_shard(seed, 5, m, buf, mask) == expected
+
+    @pytest.mark.parametrize("n_samples, workers, expected", [
+        (8_000_000, 1, 3.1417165),
+        (8_000_000, 2, 3.1417165),
+        (4_000_000, 1, 3.142407),
+    ])
+    def test_pinned_estimates(self, n_samples, workers, expected):
+        h = begin_run("pi", workers, n_samples, 7)
+        est, _ = monte_carlo_pi(PiSpec(n_samples, seed=7), workers, h)
+        assert est == expected
+
+    @pytest.mark.parametrize("n_samples, workers", [(8_000_000, 2), (4_000_000, 1)])
+    def test_scratch_allocated_once_per_worker(self, n_samples, workers):
+        # Per-worker float (16 B/sample) and bool (1 B/sample) buffers are
+        # the only sizeable allocations; fresh per-chunk temporaries reach
+        # about twice this bound.
+        chunk = min(_CHUNK, max(_shard_sizes(n_samples)))
+        h = begin_run("pi", workers, n_samples, 7)
+        tracemalloc.start()
+        try:
+            monte_carlo_pi(PiSpec(n_samples, seed=7), workers, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 17 * chunk + 256 * 1024
 
 
 class TestSynthetic:
