@@ -7,9 +7,9 @@ wall-clock series (runs are kept or dropped atomically), derives the
 granularity metrics from the mean timing breakdown, and persists one result
 line per cell so an interrupted sweep can resume.
 
-The serial baseline is measured with the same parallel code at one worker
-under the identical protocol; a plan cell at workers=1 doubles as the
-baseline for its problem size.
+The serial baseline of a problem size is its p=1 cell: the same parallel
+code at one worker under the identical protocol. With measure_serial_baseline
+set, every size gets one, persisted and resumed like any other cell.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def plan_hash(plan: ExperimentPlan) -> str:
 
 
 def plan_cells(plan: ExperimentPlan) -> list[tuple[int, int]]:
-    """Expand a plan into (workers, problem_size) cells in execution order."""
+    """Expand a plan into its own (workers, problem_size) cells; run_plan adds baselines."""
     if plan.mode == "strong":
         sizes = plan.problem_sizes or (plan.base_problem_size,)
         return [(p, s) for p in plan.worker_counts for s in sorted(sizes)]
@@ -302,18 +302,20 @@ def load_results(results_path: Union[str, Path]) -> ResultSet:
     return ResultSet(plan=plan, plan_hash=header["plan_hash"], cells=cells)
 
 
-def _drop_torn_tail(path: Path) -> None:
-    """Truncate path to the end of its last complete line.
+def _drop_torn_tail(path: Path) -> int:
+    """Truncate path to the end of its last complete line; return its new size.
 
     Every line is written whole and flushed, so a crash mid-write leaves at
     most one unterminated fragment at the end; appending after it would
-    merge the next line into it.
+    merge the next line into it. A crash during the header's write leaves
+    an empty file.
     """
     raw = path.read_bytes()
     end = raw.rfind(b"\n") + 1
     if end < len(raw):
         log.warning("%s: dropping a torn final line (%d bytes)", path, len(raw) - end)
         os.truncate(path, end)
+    return end
 
 
 def _pin_process(max_workers: int) -> None:
@@ -335,15 +337,22 @@ def run_plan(
 ) -> ResultSet:
     """Execute every cell of the plan, persisting results cell by cell.
 
+    With measure_serial_baseline set, each problem size also gets a p=1
+    cell, the T_1 of that size's actual_speedup; cells run sorted by
+    (workers, size), so a baseline precedes the cells that use it.
+
     With resume=True, cells already present in out_path are skipped; seeds
     are derived per (cell, repetition), so a resumed sweep of a
-    deterministic workload equals an uninterrupted one.
+    deterministic workload equals an uninterrupted one. A results file left
+    empty by a crash during its header's write starts afresh.
     """
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         plan = replace(plan, seed=int(env_seed))
     h = plan_hash(plan)
     cells = plan_cells(plan)
+    if plan.measure_serial_baseline:
+        cells = sorted(set(cells) | {(1, s) for _, s in cells})
 
     max_p = max(plan.worker_counts)
     host_cpus = os.cpu_count() or 1
@@ -359,8 +368,7 @@ def run_plan(
     out_file = None
     if out_path is not None:
         out_path = Path(out_path)
-        if resume and out_path.exists():
-            _drop_torn_tail(out_path)
+        if resume and out_path.exists() and _drop_torn_tail(out_path):
             prior = load_results(out_path)
             if prior.plan_hash != h:
                 raise ValueError("plan mismatch")
@@ -376,13 +384,7 @@ def run_plan(
 
     records_file = Path(records_path).open("a") if records_path else None
     results = ResultSet(plan=plan, plan_hash=h)
-    baselines: dict[int, float] = {}
-
-    def baseline_wall(size: int) -> float:
-        if size not in baselines:
-            log.info("serial baseline (p=1, size=%d)", size)
-            baselines[size] = _measure_cell(plan, 1, size).mean_wall
-        return baselines[size]
+    baselines: dict[int, float] = {}  # size -> mean wall of its p=1 cell
 
     try:
         for i, (workers, size) in enumerate(cells, start=1):
@@ -390,46 +392,43 @@ def run_plan(
             progress = f"cell {i}/{len(cells)} (p={workers}, size={size})"
             if key in completed:
                 log.info("%s: resumed from %s", progress, out_path)
-                prior_cell = completed[key]
-                results.cells.append(prior_cell)
-                if workers == 1:
-                    baselines.setdefault(size, prior_cell.mean_wall)
-                continue
-            log.info(progress)
-            try:
-                m = _measure_cell(plan, workers, size)
-            except Exception as exc:
-                raise CellExecutionError(key, exc) from exc
+                cell = completed[key]
+            else:
+                log.info(progress)
+                try:
+                    m = _measure_cell(plan, workers, size)
+                except Exception as exc:
+                    raise CellExecutionError(key, exc) from exc
 
-            if records_file is not None:
-                for rec in m.records:
-                    records_file.write(rec.to_json() + "\n")
-                records_file.flush()
+                if records_file is not None:
+                    for rec in m.records:
+                        records_file.write(rec.to_json() + "\n")
+                    records_file.flush()
 
+                metrics = granularity_metrics(TimingBreakdown(workers, m.mean_wall, m.mean_comp))
+                actual = rel_err = None
+                if plan.measure_serial_baseline:
+                    t1 = m.mean_wall if workers == 1 else baselines[size]
+                    actual = t1 / m.mean_wall
+                    rel_err = relative_error(actual, metrics.estimated_speedup)
+                cell = CellResult(
+                    workload_id=plan.workload_id,
+                    workers=workers,
+                    problem_size=size,
+                    mean_wall=m.mean_wall,
+                    mean_total_comp=m.mean_comp,
+                    metrics=metrics,
+                    kept=len(m.records),
+                    rejected=m.rejected,
+                    actual_speedup=actual,
+                    relative_error=rel_err,
+                )
+                if out_file is not None:
+                    out_file.write(json.dumps(cell.to_dict()) + "\n")
+                    out_file.flush()
             if workers == 1:
-                baselines.setdefault(size, m.mean_wall)
-            breakdown = TimingBreakdown(workers, m.mean_wall, m.mean_comp)
-            metrics = granularity_metrics(breakdown)
-            actual = rel_err = None
-            if plan.measure_serial_baseline:
-                actual = baseline_wall(size) / m.mean_wall
-                rel_err = relative_error(actual, metrics.estimated_speedup)
-            cell = CellResult(
-                workload_id=plan.workload_id,
-                workers=workers,
-                problem_size=size,
-                mean_wall=m.mean_wall,
-                mean_total_comp=m.mean_comp,
-                metrics=metrics,
-                kept=len(m.records),
-                rejected=m.rejected,
-                actual_speedup=actual,
-                relative_error=rel_err,
-            )
+                baselines[size] = cell.mean_wall
             results.cells.append(cell)
-            if out_file is not None:
-                out_file.write(json.dumps(cell.to_dict()) + "\n")
-                out_file.flush()
     finally:
         if out_file is not None:
             out_file.close()
@@ -444,8 +443,14 @@ def resume(results_path: Union[str, Path], pin_cores: bool = False) -> ResultSet
     The plan is reconstructed from the file header; completed cells are kept
     verbatim and only missing cells execute. A torn final line, left by a
     crash during its write, is dropped with a warning and its cell re-run.
-    run_plan checks the header's plan hash against the plan.
+    run_plan checks the header's plan hash against the plan. A file left
+    empty by a crash during the header's write holds no plan; run_plan with
+    the plan and resume=True starts it afresh.
     """
-    _drop_torn_tail(Path(results_path))
+    if not _drop_torn_tail(Path(results_path)):
+        raise ValueError(
+            f"{results_path}: empty results file, so its plan is unknown; rerun with "
+            f"`granscale run --plan PLAN --out {results_path} --resume`"
+        )
     plan = load_results(results_path).plan
     return run_plan(plan, out_path=results_path, resume=True, pin_cores=pin_cores)

@@ -86,20 +86,21 @@ def strong_scaling_csv(results: ResultSet) -> str:
 def weak_scaling_tables(results: ResultSet, fmt: str = "csv") -> tuple[str, str]:
     """Execution-time and speedup tables for a weak-scaling sweep.
 
-    The time table has one row per problem size with the serial baseline and
-    the measured T_p in that size's worker column. The speedup table carries
-    S_p = T(1)/T(p) plus the weak-scaling parallel fraction inferred from it.
+    Both tables have one row per problem size. T_1 is the mean wall of that
+    size's p=1 cell, the serial baseline; a size without one is an error.
+    The time table puts each measured T_p in its worker column; the speedup
+    table carries S_p = T_1/T_p plus the weak-scaling parallel fraction
+    inferred from it, and omits the trivial S_1 just like its published shape.
     """
     if results.mode != "weak":
         raise ValueError(f"expected weak-mode results, got mode {results.mode!r}")
     if fmt not in ("csv", "table"):
         raise ValueError(f"fmt must be 'csv' or 'table', got {fmt!r}")
-    cells = sorted(results.cells, key=lambda c: c.problem_size)
-    if any(c.actual_speedup is None for c in cells):
-        raise ValueError("weak-scaling tables need serial baselines in every cell")
-    # The serial column T_1 is the baseline; p=1 cells fold into it and the
-    # speedup table omits the trivial S_1 just like its published shape.
-    worker_cols = sorted({c.workers for c in cells} - {1})
+    cells = {(c.workers, c.problem_size): c for c in results.cells}
+    sizes = sorted({s for _, s in cells})
+    if any((1, s) not in cells for s in sizes):
+        raise ValueError("weak-scaling tables need a serial baseline (p=1 cell) for every size")
+    worker_cols = sorted({p for p, _ in cells} - {1})
 
     def render(rows: list[list[str]], header: list[str]) -> str:
         if fmt == "csv":
@@ -120,23 +121,17 @@ def weak_scaling_tables(results: ResultSet, fmt: str = "csv") -> tuple[str, str]
         ["problem_size"] + [f"S_{p}" for p in worker_cols] + ["gustafson_fraction"]
     )
     time_rows, speedup_rows = [], []
-    for c in cells:
-        t1 = c.mean_wall * c.actual_speedup
-        trow = [str(c.problem_size), num(t1)]
-        srow = [str(c.problem_size)]
+    for size in sizes:
+        t1 = cells[(1, size)].mean_wall
+        trow, srow, fraction = [str(size), num(t1)], [str(size)], ""
         for p in worker_cols:
-            if p == c.workers:
-                trow.append(num(c.mean_wall))
-                srow.append(num(c.actual_speedup))
-            else:
-                trow.append("")
-                srow.append("")
-        if c.workers >= 2:
-            srow.append(num(infer_gustafson_fraction(c.actual_speedup, c.workers).value))
-        else:
-            srow.append("")
+            cell = cells.get((p, size))
+            trow.append(num(cell.mean_wall) if cell else "")
+            srow.append(num(t1 / cell.mean_wall) if cell else "")
+            if cell:  # weak scaling runs each size at one p > 1
+                fraction = num(infer_gustafson_fraction(t1 / cell.mean_wall, p).value)
         time_rows.append(trow)
-        speedup_rows.append(srow)
+        speedup_rows.append(srow + [fraction])
     return render(time_rows, time_header), render(speedup_rows, speedup_header)
 
 

@@ -3,11 +3,12 @@
 Samples are split over a fixed number of logical RNG shards, each seeded
 from (seed, shard index) via PCG64. Workers process whole shards, so the
 per-shard hit counts (and therefore the estimate) are bit-identical for any
-worker count. The sampling loop is timed as compute spans; the final tally
-reduction is not.
+worker count. Each worker times its whole shard loop as one `sample` span,
+so every worker records exactly one span; the final tally reduction is not
+timed.
 
 The sampling loop allocates nothing per shard or per chunk: each worker
-allocates its float and bool scratch buffers once per run, before its first
+allocates its float and bool scratch buffers once per run, before its
 span, and each chunk is drawn, squared, summed and compared in place.
 Worker threads live for one run, so freed temporaries let glibc trim the
 thread's heap, and the next shard faults those pages back in: page-fault
@@ -76,19 +77,10 @@ def monte_carlo_pi(
     chunk = min(_CHUNK, max(sizes))
 
     def body(w, barrier):
-        buf, mask = _scratch(chunk)  # untimed: allocated once, before the first span
-        recorded = False
-        for shard in range(w, N_SHARDS, workers):
-            m = sizes[shard]
-            if m == 0:
-                continue
-            with run_handle.span(w, "sample"):
-                shard_hits[shard] = _sample_shard(spec.seed, shard, m, buf, mask)
-            recorded = True
-        if not recorded:
-            # Keep worker coverage complete even when the worker drew no
-            # non-empty shard (tiny sample counts).
-            run_handle.record_span(w, 0.0, "sample")
+        buf, mask = _scratch(chunk)  # untimed: allocated once, before the span
+        with run_handle.span(w, "sample"):
+            for shard in range(w, N_SHARDS, workers):
+                shard_hits[shard] = _sample_shard(spec.seed, shard, sizes[shard], buf, mask)
 
     run_workers(workers, body)
     total_hits = sum(shard_hits)  # tally reduction: untimed

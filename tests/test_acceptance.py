@@ -168,7 +168,10 @@ def test_criterion_5_weak_scaling_property():
             seed=42,
         )
         res = run_plan(plan)
-        walls = [c.mean_wall for c in res.cells]
+        # The fixed per-worker-size track; the p=1 baselines of the larger
+        # sizes lie off it.
+        walls = [c.mean_wall for c in res.cells if c.problem_size == 25_000 * c.workers]
+        assert len(walls) == 3
         assert (max(walls) - min(walls)) / min(walls) <= 0.25, walls
         assert scalability_verdict(res) == "scalable"
 

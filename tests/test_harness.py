@@ -210,30 +210,48 @@ class TestRunPlan:
         assert exc.value.cell_key == ("kmeans", 8, 4)
 
     def test_progress_logged_per_cell(self, caplog):
-        # No p=1 cell: each size's serial baseline is measured lazily.
+        # No p=1 in the plan: each size's serial baseline is a p=1 cell of its own.
         plan = sim_plan(worker_counts=(2,), problem_sizes=(4, 8))
         with caplog.at_level(logging.INFO, logger="granscale"):
             run_plan(plan)
         assert caplog.messages == [
-            "cell 1/2 (p=2, size=4)",
-            "serial baseline (p=1, size=4)",
-            "cell 2/2 (p=2, size=8)",
-            "serial baseline (p=1, size=8)",
+            "cell 1/4 (p=1, size=4)",
+            "cell 2/4 (p=1, size=8)",
+            "cell 3/4 (p=2, size=4)",
+            "cell 4/4 (p=2, size=8)",
         ]
 
-    def test_cli_run_writes_records(self, tmp_path):
-        plan_file, out, records = (tmp_path / n for n in ("plan.json", "r.jsonl", "runs.jsonl"))
-        plan_file.write_text(json.dumps(sim_plan(problem_sizes=(4, 8)).to_dict()))
-        assert cli.main(["run", "--plan", str(plan_file), "--out", str(out),
-                         "--records", str(records)]) == 0
-        cells = load_results(out).cells
-        lines = records.read_text().splitlines()
-        assert len(lines) == sum(c.kept for c in cells)
-        runs = [RunRecord.from_json(line) for line in lines]
-        assert [r.to_json() for r in runs] == lines
-        assert [(r.workers, r.problem_size) for r in runs] == [
-            (c.workers, c.problem_size) for c in cells for _ in range(c.kept)
+    def test_baseline_cells_added_per_size(self):
+        plan = sim_plan(worker_counts=(2, 4), problem_sizes=(4, 8))
+        cells = run_plan(plan).cells
+        assert [(c.workers, c.problem_size) for c in cells] == [
+            (1, 4), (1, 8), (2, 4), (2, 8), (4, 4), (4, 8),
         ]
+        t1 = {c.problem_size: c.mean_wall for c in cells if c.workers == 1}
+        for c in cells:
+            assert c.actual_speedup == t1[c.problem_size] / c.mean_wall
+        no_baseline = dataclasses.replace(plan, measure_serial_baseline=False)
+        assert [(c.workers, c.problem_size) for c in run_plan(no_baseline).cells] == \
+            plan_cells(plan)
+
+    def test_cli_run_writes_records(self, tmp_path):
+        # The second plan has no p=1: its baseline runs are recorded too.
+        for name, worker_counts in (("with-p1", (1, 2)), ("without-p1", (2,))):
+            plan_file, out, records = (tmp_path / f"{name}-{n}"
+                                       for n in ("plan.json", "r.jsonl", "runs.jsonl"))
+            plan = sim_plan(worker_counts=worker_counts, problem_sizes=(4, 8))
+            plan_file.write_text(json.dumps(plan.to_dict()))
+            assert cli.main(["run", "--plan", str(plan_file), "--out", str(out),
+                             "--records", str(records)]) == 0
+            cells = load_results(out).cells
+            lines = records.read_text().splitlines()
+            assert len(lines) == sum(c.kept for c in cells)
+            runs = [RunRecord.from_json(line) for line in lines]
+            assert [r.to_json() for r in runs] == lines
+            assert [(r.workers, r.problem_size) for r in runs] == [
+                (c.workers, c.problem_size) for c in cells for _ in range(c.kept)
+            ]
+            assert {r.workers for r in runs} == {1, 2}
 
 
 class TestResume:
@@ -324,6 +342,42 @@ class TestResume:
             f"cell 3/4 (p=2, size=4): resumed from {trunc}",
             "cell 4/4 (p=2, size=8)",
         ]
+
+    def test_resume_reuses_baseline(self, tmp_path, monkeypatch):
+        plan = sim_plan(worker_counts=(2, 4), problem_sizes=(4,))
+        out = tmp_path / "full.jsonl"
+        run_plan(plan, out_path=out)
+        full = out.read_bytes()
+        lines = full.decode().splitlines(keepends=True)
+        assert [json.loads(line)["workers"] for line in lines[1:]] == [1, 2, 4]
+        trunc = tmp_path / "trunc.jsonl"
+        trunc.write_text("".join(lines[:3]))  # header, baseline, (2, 4)
+        real = harness.synthetic_run
+        workers_run = []
+
+        def counting(spec, workers, handle):
+            workers_run.append(workers)
+            return real(spec, workers, handle)
+
+        monkeypatch.setattr(harness, "synthetic_run", counting)
+        resume(trunc)
+        assert workers_run and 1 not in workers_run
+        assert trunc.read_bytes() == full
+
+    @pytest.mark.parametrize("cut", [0, 10, None], ids=["empty", "ten-bytes", "before-newline"])
+    def test_crash_during_header_resumed(self, tmp_path, cut):
+        plan, out = self._full_run(tmp_path)
+        full = out.read_bytes()
+        crashed = tmp_path / "crashed.jsonl"
+        crashed.write_bytes(full[:full.index(b"\n") if cut is None else cut])
+        run_plan(plan, out_path=crashed, resume=True)
+        assert crashed.read_bytes() == full
+
+    def test_resume_without_header_names_the_way_out(self, tmp_path):
+        crashed = tmp_path / "crashed.jsonl"
+        crashed.write_bytes(b'{"plan_hash": ')
+        with pytest.raises(ValueError, match="empty results file.*--plan .* --resume"):
+            resume(crashed)
 
     def test_torn_final_line_resumed(self, tmp_path, caplog):
         # A crash 20 bytes before the end of the last line's write.

@@ -74,6 +74,16 @@ class TestWeakScalingTables:
         assert s_header == ["problem_size", "S_8", "S_16", "gustafson_fraction"]
         assert len(time_table.splitlines()) == 3
 
+    def test_t1_is_baseline_cell(self):
+        res = run_sim(mode="weak", worker_counts=(2, 4), base=4)
+        t1 = {c.problem_size: c.mean_wall for c in res.cells if c.workers == 1}
+        assert sorted(t1) == [4, 8]
+        time_table, speedup_table = weak_scaling_tables(res)
+        rows = [line.split(",") for line in time_table.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [4, 8]
+        assert all(r[1] == repr(t1[int(r[0])]) for r in rows)
+        assert len(speedup_table.splitlines()) == 1 + len(rows)
+
     def test_mode_guard(self):
         with pytest.raises(ValueError):
             weak_scaling_tables(run_sim(mode="strong"))

@@ -171,6 +171,16 @@ class TestMonteCarloPi:
         assert {s.worker_id for s in rec.spans} == set(range(4))
         assert rec.flags == ()
 
+    @pytest.mark.parametrize("n_samples, workers", [
+        (100_000, 1), (100_000, 2), (100_000, 4), (2, 4),
+    ])
+    def test_one_sample_span_per_worker(self, n_samples, workers):
+        h = begin_run("pi", workers, n_samples, 7)
+        _, rec = monte_carlo_pi(PiSpec(n_samples, seed=7), workers, h)
+        assert len(rec.spans) == workers
+        assert sorted(s.worker_id for s in rec.spans) == list(range(workers))
+        assert {s.phase_label for s in rec.spans} == {"sample"}
+
     @staticmethod
     def _reference_hits(seed, shard, m):
         # The definition the in-place kernel must match: two draws of n per chunk.
