@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands:
-  granscale run --plan plan.json --out results.jsonl [--resume] [--pin-cores]
+  granscale run --plan plan.json --out results.jsonl [--resume]
                 [--records records.jsonl]
   granscale report --in results.jsonl --format csv|table|json --out <path>
   granscale validate-fixture
 
 `run` exits 0 on full completion and 2 when the sweep stopped partway with
-a failure (the results file keeps every completed cell). `--records` appends
-one JSON line per kept run (its spans, see `RunRecord.from_json`) to a file.
+a failure (the results file keeps every completed cell). `--records` writes
+one JSON line per kept run (its spans, see `RunRecord.from_json`) to a file:
+a fresh run rewrites it, and `--resume` keeps the runs of the cells already
+in `--out`. The plan file and these paths are a sweep's only inputs.
 `validate-fixture` prints the deviation table and exits 0/1 on pass/fail.
 """
 
@@ -28,8 +30,7 @@ def _cmd_run(args) -> int:
     plan = harness.ExperimentPlan.from_dict(json.loads(Path(args.plan).read_text()))
     try:
         results = harness.run_plan(
-            plan, out_path=args.out, resume=args.resume, pin_cores=args.pin_cores,
-            records_path=args.records,
+            plan, out_path=args.out, resume=args.resume, records_path=args.records,
         )
     except harness.CellExecutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -80,9 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--plan", required=True, help="plan JSON file")
     p_run.add_argument("--out", required=True, help="results JSONL output path")
     p_run.add_argument("--resume", action="store_true", help="skip cells already in --out")
-    p_run.add_argument("--pin-cores", action="store_true",
-                       help="pin the process to the first max-workers CPUs (best effort)")
-    p_run.add_argument("--records", help="append one JSON line per kept run to this file")
+    p_run.add_argument("--records", help="write one JSON line per kept run to this file")
     p_run.set_defaults(func=_cmd_run)
 
     p_rep = sub.add_parser("report", help="render results")

@@ -44,8 +44,6 @@ log = logging.getLogger("granscale")
 #: Extra repetition rounds allowed when refilling rejected measurements.
 MAX_REFILL_ATTEMPTS = 3
 
-SEED_ENV_VAR = "GRANSCALE_SEED"
-
 WorkloadSpec = Union[KMeansSpec, PiSpec, SyntheticSpec]
 
 
@@ -229,15 +227,15 @@ def _run_seed(plan_seed: int, workers: int, size: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
-class _CellMeasurement:
-    mean_wall: float
-    mean_comp: float
-    rejected: int
-    records: list[RunRecord]  # the kept runs
+def _measure_cell(
+    plan: ExperimentPlan, workers: int, size: int, t1: Optional[float]
+) -> tuple[CellResult, list[RunRecord]]:
+    """Measure one cell; return its result and its kept runs.
 
-
-def _measure_cell(plan: ExperimentPlan, workers: int, size: int) -> _CellMeasurement:
+    t1 is the mean wall of the size's p=1 cell; a p=1 cell is its own.
+    """
+    if plan.measure_serial_baseline and workers > 1 and t1 is None:
+        raise ValueError(f"no serial baseline for problem size {size}")
     workload = _WORKLOADS[type(plan.workload)]
     reps = itertools.count()  # one seed per repetition; 0 is the warm-up
 
@@ -270,12 +268,26 @@ def _measure_cell(plan: ExperimentPlan, workers: int, size: int) -> _CellMeasure
         attempts += 1
         records += [run() for _ in decision.rejected]
 
-    return _CellMeasurement(
-        mean_wall=float(np.mean([r.wall_clock for r in records])),
-        mean_comp=float(np.mean([aggregate(r).total_comp for r in records])),
+    mean_wall = float(np.mean([r.wall_clock for r in records]))
+    mean_comp = float(np.mean([aggregate(r).total_comp for r in records]))
+    metrics = granularity_metrics(TimingBreakdown(workers, mean_wall, mean_comp))
+    actual = rel_err = None
+    if plan.measure_serial_baseline:
+        actual = (mean_wall if workers == 1 else t1) / mean_wall
+        rel_err = relative_error(actual, metrics.estimated_speedup)
+    cell = CellResult(
+        workload_id=plan.workload_id,
+        workers=workers,
+        problem_size=size,
+        mean_wall=mean_wall,
+        mean_total_comp=mean_comp,
+        metrics=metrics,
+        kept=len(records),
         rejected=total_rejected,
-        records=records,
+        actual_speedup=actual,
+        relative_error=rel_err,
     )
+    return cell, records
 
 
 def load_results(results_path: Union[str, Path]) -> ResultSet:
@@ -318,24 +330,26 @@ def _drop_torn_tail(path: Path) -> int:
     return end
 
 
-def _pin_process(max_workers: int) -> None:
-    # Best effort and platform dependent: restricts the whole process to the
-    # first max_workers CPUs; no per-thread placement is attempted.
-    if not hasattr(os, "sched_setaffinity"):
-        log.warning("core pinning not supported on this platform")
-        return
-    n = min(max_workers, os.cpu_count() or 1)
-    os.sched_setaffinity(0, set(range(n)))
+def _keep_lines(path: Path, n: int) -> None:
+    """Truncate path after its first n complete lines; leave a file with fewer as it is."""
+    with path.open("rb") as f:
+        lines = [line for line in itertools.islice(f, n) if line.endswith(b"\n")]
+    end, size = sum(map(len, lines)), path.stat().st_size
+    if len(lines) == n and end < size:
+        log.warning("%s: dropping %d bytes after the completed cells' runs", path, size - end)
+        os.truncate(path, end)
 
 
 def run_plan(
     plan: ExperimentPlan,
     out_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    pin_cores: bool = False,
     records_path: Optional[Union[str, Path]] = None,
 ) -> ResultSet:
     """Execute every cell of the plan, persisting results cell by cell.
+
+    The plan and the two paths are the sweep's only inputs; the results
+    header records the plan, seed included.
 
     With measure_serial_baseline set, each problem size also gets a p=1
     cell, the T_1 of that size's actual_speedup; cells run sorted by
@@ -345,24 +359,24 @@ def run_plan(
     are derived per (cell, repetition), so a resumed sweep of a
     deterministic workload equals an uninterrupted one. A results file left
     empty by a crash during its header's write starts afresh.
+
+    records_path receives one JSON line per kept run, cell by cell. A fresh
+    sweep rewrites it; a resumed one keeps the runs of the cells taken from
+    out_path and drops any lines after them.
     """
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        plan = replace(plan, seed=int(env_seed))
     h = plan_hash(plan)
     cells = plan_cells(plan)
     if plan.measure_serial_baseline:
         cells = sorted(set(cells) | {(1, s) for _, s in cells})
 
     max_p = max(plan.worker_counts)
-    host_cpus = os.cpu_count() or 1
-    if host_cpus < max_p:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < max_p:
         log.warning(
-            "host has %d logical processors, plan asks for %d workers; "
-            "timings will not show real parallel speedup", host_cpus, max_p,
+            "CPUs available to the process: %d, plan asks for %d workers; "
+            "timings will not show real parallel speedup", cpus, max_p,
         )
-    if pin_cores:
-        _pin_process(max_p)
 
     completed: dict[tuple, CellResult] = {}
     out_file = None
@@ -382,7 +396,12 @@ def run_plan(
             )
             out_file.flush()
 
-    records_file = Path(records_path).open("a") if records_path else None
+    records_file = None
+    if records_path is not None:
+        records_path = Path(records_path)
+        if completed and records_path.exists():
+            _keep_lines(records_path, sum(c.kept for c in completed.values()))
+        records_file = records_path.open("a" if completed else "w")
     results = ResultSet(plan=plan, plan_hash=h)
     baselines: dict[int, float] = {}  # size -> mean wall of its p=1 cell
 
@@ -396,33 +415,13 @@ def run_plan(
             else:
                 log.info(progress)
                 try:
-                    m = _measure_cell(plan, workers, size)
+                    cell, records = _measure_cell(plan, workers, size, baselines.get(size))
                 except Exception as exc:
                     raise CellExecutionError(key, exc) from exc
 
                 if records_file is not None:
-                    for rec in m.records:
-                        records_file.write(rec.to_json() + "\n")
+                    records_file.writelines(rec.to_json() + "\n" for rec in records)
                     records_file.flush()
-
-                metrics = granularity_metrics(TimingBreakdown(workers, m.mean_wall, m.mean_comp))
-                actual = rel_err = None
-                if plan.measure_serial_baseline:
-                    t1 = m.mean_wall if workers == 1 else baselines[size]
-                    actual = t1 / m.mean_wall
-                    rel_err = relative_error(actual, metrics.estimated_speedup)
-                cell = CellResult(
-                    workload_id=plan.workload_id,
-                    workers=workers,
-                    problem_size=size,
-                    mean_wall=m.mean_wall,
-                    mean_total_comp=m.mean_comp,
-                    metrics=metrics,
-                    kept=len(m.records),
-                    rejected=m.rejected,
-                    actual_speedup=actual,
-                    relative_error=rel_err,
-                )
                 if out_file is not None:
                     out_file.write(json.dumps(cell.to_dict()) + "\n")
                     out_file.flush()
@@ -437,15 +436,13 @@ def run_plan(
     return results
 
 
-def resume(results_path: Union[str, Path], pin_cores: bool = False) -> ResultSet:
-    """Continue an interrupted sweep from its results file.
+def resume(results_path: Union[str, Path]) -> ResultSet:
+    """Continue an interrupted sweep; the file's header holds its plan, its only input.
 
-    The plan is reconstructed from the file header; completed cells are kept
-    verbatim and only missing cells execute. A torn final line, left by a
-    crash during its write, is dropped with a warning and its cell re-run.
-    run_plan checks the header's plan hash against the plan. A file left
-    empty by a crash during the header's write holds no plan; run_plan with
-    the plan and resume=True starts it afresh.
+    Completed cells are kept verbatim and only missing cells execute. A torn
+    final line, left by a crash during its write, is dropped with a warning
+    and its cell re-run. A file left empty by a crash during the header's
+    write holds no plan; run_plan with the plan and resume=True starts it afresh.
     """
     if not _drop_torn_tail(Path(results_path)):
         raise ValueError(
@@ -453,4 +450,4 @@ def resume(results_path: Union[str, Path], pin_cores: bool = False) -> ResultSet
             f"`granscale run --plan PLAN --out {results_path} --resume`"
         )
     plan = load_results(results_path).plan
-    return run_plan(plan, out_path=results_path, resume=True, pin_cores=pin_cores)
+    return run_plan(plan, out_path=results_path, resume=True)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 
 import pytest
 
@@ -21,6 +22,17 @@ from granscale.workloads import KMeansSpec, PiSpec, SyntheticSpec
 
 SIM = SyntheticSpec(compute_ms_per_worker=5, exchange_ms_per_worker=1,
                     iterations=1, simulate=True)
+
+
+def timeless_runs(path):
+    """A records file's runs without their random id and start time.
+
+    Simulate-mode runs agree in everything else from one sweep to the next.
+    """
+    runs = [json.loads(line) for line in path.read_text().splitlines()]
+    for run in runs:
+        del run["run_id"], run["started_at"]
+    return runs
 
 
 def sim_plan(**overrides):
@@ -193,11 +205,17 @@ class TestRunPlan:
         assert (cell.kept, cell.rejected) == (4, 1)
         assert cell.mean_wall == pytest.approx(0.006)
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        plan = sim_plan()
-        monkeypatch.setenv("GRANSCALE_SEED", "999")
-        res = run_plan(plan)
-        assert res.plan.seed == 999
+    def test_cell_without_baseline_fails(self):
+        # T_1 = T_p would pass silently for a baseline that is missing.
+        with pytest.raises(ValueError, match="no serial baseline for problem size 4"):
+            harness._measure_cell(sim_plan(), 2, 4, None)
+
+    def test_warns_on_fewer_cpus_than_workers(self, monkeypatch, caplog):
+        # The affinity mask, not the host's CPU count, bounds the parallelism.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with caplog.at_level(logging.WARNING, logger="granscale"):
+            run_plan(sim_plan(worker_counts=(1, 2)))
+        assert "CPUs available to the process: 1, plan asks for 2 workers" in caplog.text
 
     def test_failure_carries_cell_identity(self):
         plan = sim_plan(
@@ -252,6 +270,15 @@ class TestRunPlan:
                 (c.workers, c.problem_size) for c in cells for _ in range(c.kept)
             ]
             assert {r.workers for r in runs} == {1, 2}
+
+    def test_fresh_run_rewrites_records(self, tmp_path):
+        plan = sim_plan(worker_counts=(2,), problem_sizes=(4, 8))
+        out, records = tmp_path / "r.jsonl", tmp_path / "runs.jsonl"
+        run_plan(plan, out_path=out, records_path=records)
+        first = timeless_runs(records)
+        run_plan(plan, out_path=out, records_path=records)
+        assert timeless_runs(records) == first
+        assert len(first) == sum(c.kept for c in load_results(out).cells) == 12
 
 
 class TestResume:
@@ -327,6 +354,46 @@ class TestResume:
         edited.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
         with pytest.raises(ValueError, match="plan mismatch"):
             resume(edited)
+
+    def test_seed_variable_ignored(self, tmp_path, monkeypatch):
+        # The header's plan is the whole input; the environment changes nothing.
+        plan, out = self._full_run(tmp_path)
+        full = out.read_bytes()
+        trunc = tmp_path / "trunc.jsonl"
+        trunc.write_bytes(b"".join(full.splitlines(keepends=True)[:-1]))
+        monkeypatch.setenv("GRANSCALE_SEED", "5")
+        resume(trunc)
+        assert trunc.read_bytes() == full
+
+    def _run_with_records(self, tmp_path):
+        plan = sim_plan(worker_counts=(2,), problem_sizes=(4, 8))
+        out, records = tmp_path / "r.jsonl", tmp_path / "runs.jsonl"
+        run_plan(plan, out_path=out, records_path=records)
+        return plan, out, records
+
+    @pytest.mark.parametrize("torn", [0, 20], ids=["whole-lines", "torn-line"])
+    def test_resume_drops_runs_of_unfinished_cell(self, tmp_path, torn):
+        # A crash after the (2, 4) cell's runs were flushed, before its results line.
+        plan, out, records = self._run_with_records(tmp_path)
+        full_out, full_runs = out.read_bytes(), timeless_runs(records)
+        out.write_bytes(b"".join(full_out.splitlines(keepends=True)[:3]))  # the two baselines
+        runs = records.read_bytes().splitlines(keepends=True)
+        records.write_bytes(b"".join(runs[:9]) + runs[9][:torn])
+        run_plan(plan, out_path=out, resume=True, records_path=records)
+        assert out.read_bytes() == full_out
+        assert timeless_runs(records) == full_runs
+        assert records.read_bytes().startswith(b"".join(runs[:6]))
+
+    def test_resume_keeps_short_records(self, tmp_path):
+        # Fewer runs than the completed cells kept: nothing is dropped.
+        plan, out, records = self._run_with_records(tmp_path)
+        full_runs = timeless_runs(records)
+        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:3]))
+        short = b"".join(records.read_bytes().splitlines(keepends=True)[:4])
+        records.write_bytes(short)
+        run_plan(plan, out_path=out, resume=True, records_path=records)
+        assert records.read_bytes().startswith(short)
+        assert timeless_runs(records) == full_runs[:4] + full_runs[6:]
 
     def test_progress_marks_resumed_cells(self, tmp_path, caplog):
         plan, out = self._full_run(tmp_path)
