@@ -19,21 +19,14 @@ from .measurement import (
     begin_run,
 )
 from .metrics import (
-    INFINITE_GRANULARITY,
     FractionEstimate,
     GranularityMetrics,
-    Overhead,
-    ScalingModelParams,
     TimingBreakdown,
     amdahl_speedup,
-    compute_overhead,
-    efficiency_from_granularity,
-    estimated_speedup,
     granularity_metrics,
     gustafson_speedup,
     infer_amdahl_fraction,
     infer_gustafson_fraction,
-    isogranularity,
     relative_error,
 )
 from .harness import (

@@ -14,6 +14,7 @@ set, every size gets one, persisted and resumed like any other cell.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -115,6 +116,8 @@ class ExperimentPlan:
             raise ValueError("worker counts must be positive")
         if self.base_problem_size < 1:
             raise ValueError("base_problem_size must be >= 1")
+        if self.problem_sizes is not None and any(s < 1 for s in self.problem_sizes):
+            raise ValueError("problem sizes must be positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.outlier_side not in ("both", "upper"):
@@ -378,34 +381,35 @@ def run_plan(
             "timings will not show real parallel speedup", cpus, max_p,
         )
 
-    completed: dict[tuple, CellResult] = {}
-    out_file = None
+    prior = None
     if out_path is not None:
         out_path = Path(out_path)
         if resume and out_path.exists() and _drop_torn_tail(out_path):
             prior = load_results(out_path)
             if prior.plan_hash != h:
                 raise ValueError("plan mismatch")
-            completed = {c.cell_key: c for c in prior.cells}
-            out_file = out_path.open("a")
-        else:
-            out_file = out_path.open("w")
-            out_file.write(
-                json.dumps({"plan_hash": h, "plan": plan.to_dict(), "tool_version": __version__})
-                + "\n"
-            )
-            out_file.flush()
-
-    records_file = None
-    if records_path is not None:
-        records_path = Path(records_path)
-        if completed and records_path.exists():
-            _keep_lines(records_path, sum(c.kept for c in completed.values()))
-        records_file = records_path.open("a" if completed else "w")
+    completed = {c.cell_key: c for c in prior.cells} if prior is not None else {}
     results = ResultSet(plan=plan, plan_hash=h)
     baselines: dict[int, float] = {}  # size -> mean wall of its p=1 cell
 
-    try:
+    with contextlib.ExitStack() as files:
+        # Records first: a bad records path must fail before a fresh run
+        # truncates the results file.
+        records_file = out_file = None
+        if records_path is not None:
+            records_path = Path(records_path)
+            if completed and records_path.exists():
+                _keep_lines(records_path, sum(c.kept for c in completed.values()))
+            records_file = files.enter_context(records_path.open("a" if completed else "w"))
+        if out_path is not None:
+            out_file = files.enter_context(out_path.open("w" if prior is None else "a"))
+            if prior is None:
+                out_file.write(
+                    json.dumps({"plan_hash": h, "plan": plan.to_dict(), "tool_version": __version__})
+                    + "\n"
+                )
+                out_file.flush()
+
         for i, (workers, size) in enumerate(cells, start=1):
             key = (plan.workload_id, workers, size)
             progress = f"cell {i}/{len(cells)} (p={workers}, size={size})"
@@ -428,11 +432,6 @@ def run_plan(
             if workers == 1:
                 baselines[size] = cell.mean_wall
             results.cells.append(cell)
-    finally:
-        if out_file is not None:
-            out_file.close()
-        if records_file is not None:
-            records_file.close()
     return results
 
 

@@ -1,20 +1,18 @@
 """Core speedup/efficiency arithmetic.
 
-Everything here is a pure function over immutable values: the overhead
-decomposition (overhead = p*T_wall - total_comp), granularity and the
-efficiency it implies (E = G/(G+1)), the classic strong/weak scaling laws,
-and the algebraic inverses used when fitting measured speedups back to a
-parallel fraction.
+Everything here is a pure function over immutable values. The estimator,
+granularity_metrics, is four lines of arithmetic over one run's timing
+breakdown: overhead = p*T_wall - total_comp, G = total_comp/overhead,
+E = G/(G+1) and S = E*p. Next to it sit the classic strong/weak scaling
+laws, their algebraic inverses used when fitting measured speedups back to
+a parallel fraction, and the relative error of an estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
-
-#: Granularity reported when measured overhead is below the noise floor.
-INFINITE_GRANULARITY = math.inf
+from typing import NamedTuple
 
 #: Overheads below this (seconds) are treated as timer noise, not signal.
 OVERHEAD_FLOOR = 1e-9
@@ -33,25 +31,19 @@ class TimingBreakdown:
     total_comp: float
 
     def __post_init__(self):
-        if self.workers < 1:
+        # Negated comparisons also reject NaN, which no estimate can come from.
+        if not self.workers >= 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.wall_clock <= 0:
+        if not self.wall_clock > 0:
             raise ValueError(f"wall_clock must be positive, got {self.wall_clock}")
-        if self.total_comp < 0:
-            raise ValueError(f"total_comp must be >= 0, got {self.total_comp}")
+        if not 0 <= self.total_comp < math.inf:
+            raise ValueError(f"total_comp must be finite and >= 0, got {self.total_comp}")
         budget = self.workers * self.wall_clock * (1.0 + _BUDGET_EPS)
         if self.total_comp > budget:
             raise ValueError(
                 f"total_comp {self.total_comp} exceeds available worker-seconds "
                 f"{self.workers} * {self.wall_clock}"
             )
-
-
-class Overhead(NamedTuple):
-    """Overhead in seconds, plus whether a negative raw value was clamped."""
-
-    seconds: float
-    clamped: bool
 
 
 @dataclass(frozen=True)
@@ -65,20 +57,6 @@ class GranularityMetrics:
     overhead_clamped: bool = False
 
 
-@dataclass(frozen=True)
-class ScalingModelParams:
-    """Parallel fractions for the strong (Amdahl) and weak (Gustafson) laws."""
-
-    parallel_fraction: float = 0.0
-    scaled_parallel_fraction: float = 0.0
-
-    def __post_init__(self):
-        for name in ("parallel_fraction", "scaled_parallel_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
 class FractionEstimate(NamedTuple):
     """Inferred parallel fraction; anomalous marks a clamped (out-of-model) fit."""
 
@@ -86,80 +64,57 @@ class FractionEstimate(NamedTuple):
     anomalous: bool
 
 
-def compute_overhead(breakdown: TimingBreakdown) -> Overhead:
-    """Overhead seconds of a run: workers * wall_clock - total_comp.
-
-    Raw negatives (possible only through timer noise at workers=1) clamp
-    to zero and are flagged.
-    """
-    raw = breakdown.workers * breakdown.wall_clock - breakdown.total_comp
-    if raw < 0.0:
-        return Overhead(0.0, True)
-    return Overhead(raw, False)
-
-
-def isogranularity(total_comp: float, overhead: float) -> float:
-    """Ratio of computation time to overhead time.
-
-    Overheads below OVERHEAD_FLOOR are indistinguishable from timer noise
-    and yield INFINITE_GRANULARITY instead of a meaningless huge float.
-    """
-    if total_comp < 0 or overhead < 0:
-        raise ValueError("total_comp and overhead must be >= 0")
-    if total_comp == 0.0 and overhead < OVERHEAD_FLOOR:
-        raise ValueError("empty measurement")
-    if overhead < OVERHEAD_FLOOR:
-        return INFINITE_GRANULARITY
-    return total_comp / overhead
-
-
-def efficiency_from_granularity(g: float) -> float:
-    """Efficiency implied by granularity: E = G/(G+1); 1.0 in the infinite limit."""
-    if g < 0:
-        raise ValueError(f"granularity must be >= 0, got {g}")
-    if math.isinf(g):
-        return 1.0
-    return g / (g + 1.0)
-
-
-def estimated_speedup(efficiency: float, workers: int) -> float:
-    """Speedup implied by efficiency: S = E * p."""
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return efficiency * workers
-
-
 def granularity_metrics(breakdown: TimingBreakdown) -> GranularityMetrics:
-    """Full estimator pipeline for one run's timing breakdown."""
-    overhead = compute_overhead(breakdown)
-    g = isogranularity(breakdown.total_comp, overhead.seconds)
-    e = efficiency_from_granularity(g)
+    """The estimator: overhead, granularity G, efficiency E = G/(G+1), speedup S = E*p.
+
+    A negative raw overhead (possible only through timer noise at
+    workers=1) clamps to zero and sets overhead_clamped. An overhead below
+    OVERHEAD_FLOOR is indistinguishable from timer noise, so G is infinite
+    and E is 1; with no computation either, the run measured nothing.
+    """
+    workers, comp = breakdown.workers, breakdown.total_comp
+    overhead = workers * breakdown.wall_clock - comp
+    clamped = overhead < 0.0
+    if clamped:
+        overhead = 0.0
+    if overhead < OVERHEAD_FLOOR:
+        if comp == 0.0:
+            raise ValueError("empty measurement")
+        g = math.inf
+    else:
+        g = comp / overhead
+    # comp / overhead can itself overflow to inf; E is 1 there too.
+    e = 1.0 if math.isinf(g) else g / (g + 1.0)
     return GranularityMetrics(
-        overhead=overhead.seconds,
+        overhead=overhead,
         granularity=g,
         efficiency=e,
-        estimated_speedup=estimated_speedup(e, breakdown.workers),
-        overhead_clamped=overhead.clamped,
+        estimated_speedup=e * workers,
+        overhead_clamped=clamped,
     )
 
 
-def amdahl_speedup(params: ScalingModelParams, n: int) -> float:
-    """Strong-scaling speedup at n units: 1 / ((1-f) + f/n)."""
+def _check_fraction(f: float) -> None:
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"parallel fraction must be in [0, 1], got {f}")
+
+
+def amdahl_speedup(f: float, n: int) -> float:
+    """Strong-scaling speedup at n units for parallel fraction f: 1 / ((1-f) + f/n)."""
+    _check_fraction(f)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    f = params.parallel_fraction
     if f == 1.0:
         return float(n)
     return 1.0 / ((1.0 - f) + f / n)
 
 
-def gustafson_speedup(params: ScalingModelParams, n: int) -> float:
-    """Weak-scaling speedup at n units: 1 + (n-1) * f_scaled."""
+def gustafson_speedup(f: float, n: int) -> float:
+    """Weak-scaling speedup at n units for scaled parallel fraction f: 1 + (n-1) * f."""
+    _check_fraction(f)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return 1.0 + (n - 1) * params.scaled_parallel_fraction
+    return 1.0 + (n - 1) * f
 
 
 def infer_amdahl_fraction(measured_speedup: float, n: int) -> FractionEstimate:

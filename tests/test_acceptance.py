@@ -22,12 +22,12 @@ from granscale import (
     ExperimentPlan,
     KMeansSpec,
     PiSpec,
-    ScalingModelParams,
     SyntheticSpec,
+    TimingBreakdown,
     amdahl_speedup,
     begin_run,
-    efficiency_from_granularity,
     generate_dataset,
+    granularity_metrics,
     gustafson_speedup,
     infer_amdahl_fraction,
     infer_gustafson_fraction,
@@ -74,20 +74,19 @@ class _Budget:
 def test_criterion_1_formula_suite():
     with _Budget("1 (formula suite)", 1.0):
         for n in (2, 4, 8, 16, 64, 512, 1024):
-            assert amdahl_speedup(ScalingModelParams(parallel_fraction=1.0), n) == n
-            assert gustafson_speedup(
-                ScalingModelParams(scaled_parallel_fraction=1.0), n
-            ) == n
+            assert amdahl_speedup(1.0, n) == n
+            assert gustafson_speedup(1.0, n) == n
         for f in np.linspace(0.0, 1.0, 41):
             for n in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
-                s = amdahl_speedup(ScalingModelParams(parallel_fraction=f), n)
+                s = amdahl_speedup(f, n)
                 assert abs(infer_amdahl_fraction(s, n).value - f) < 1e-9
-                s = gustafson_speedup(
-                    ScalingModelParams(scaled_parallel_fraction=f), n
-                )
+                s = gustafson_speedup(f, n)
                 assert abs(infer_gustafson_fraction(s, n).value - f) < 1e-9
         for g in np.logspace(-6, 6, 500):
-            assert abs(efficiency_from_granularity(g) - 1.0 / (1.0 + 1.0 / g)) < 1e-12
+            # A serial run with computation g and overhead 1 (up to rounding).
+            m = granularity_metrics(TimingBreakdown(1, 1.0 + g, g))
+            assert m.granularity == pytest.approx(g, rel=1e-9)
+            assert abs(m.efficiency - 1.0 / (1.0 + 1.0 / m.granularity)) < 1e-12
 
 
 def test_criterion_2_fixture_regression():

@@ -78,6 +78,11 @@ class TestPlanValidation:
         for sizes in ([], None):
             assert ExperimentPlan.from_dict({**obj, "problem_sizes": sizes}).problem_sizes is None
 
+    def test_non_positive_problem_size(self):
+        for sizes in ((0, 4), (4, -8)):
+            with pytest.raises(ValueError, match="problem sizes must be positive"):
+                sim_plan(problem_sizes=sizes)
+
     def test_unknown_kind(self):
         obj = sim_plan().to_dict()
         obj["workload"]["kind"] = "fft"
@@ -270,6 +275,30 @@ class TestRunPlan:
                 (c.workers, c.problem_size) for c in cells for _ in range(c.kept)
             ]
             assert {r.workers for r in runs} == {1, 2}
+
+    @pytest.mark.parametrize("plan_obj", [
+        pytest.param(42, id="plan-not-object"),
+        pytest.param({"mode": "strong"}, id="plan-without-workload"),
+        pytest.param({**sim_plan().to_dict(), "mode": "sideways"}, id="plan-bad-mode"),
+        pytest.param({**sim_plan().to_dict(), "problem_sizes": [0, 4]}, id="plan-size-zero"),
+    ])
+    def test_cli_run_rejects_invalid_plan(self, tmp_path, capsys, plan_obj):
+        plan_file, out = tmp_path / "plan.json", tmp_path / "r.jsonl"
+        plan_file.write_text(json.dumps(plan_obj))
+        assert cli.main(["run", "--plan", str(plan_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {plan_file}: invalid plan: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("resume_run", [False, True], ids=["fresh", "resume"])
+    def test_bad_records_path_keeps_results(self, tmp_path, resume_run):
+        plan, out = sim_plan(), tmp_path / "r.jsonl"
+        run_plan(plan, out_path=out)
+        before = out.read_bytes()
+        assert len(before.splitlines()) == 3
+        with pytest.raises(FileNotFoundError):
+            run_plan(plan, out_path=out, resume=resume_run,
+                     records_path=tmp_path / "no/such/dir/runs.jsonl")
+        assert out.read_bytes() == before
 
     def test_fresh_run_rewrites_records(self, tmp_path):
         plan = sim_plan(worker_counts=(2,), problem_sizes=(4, 8))

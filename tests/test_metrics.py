@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from granscale.metrics import (
-    INFINITE_GRANULARITY,
-    ScalingModelParams,
+    GranularityMetrics,
     TimingBreakdown,
     amdahl_speedup,
-    compute_overhead,
-    efficiency_from_granularity,
-    estimated_speedup,
     granularity_metrics,
     gustafson_speedup,
     infer_amdahl_fraction,
     infer_gustafson_fraction,
-    isogranularity,
     relative_error,
 )
+
+
+def metrics(workers, wall_clock, total_comp):
+    return granularity_metrics(TimingBreakdown(workers, wall_clock, total_comp))
+
+
+def with_granularity(g):
+    """Metrics of a serial run with computation g and overhead 1 (up to rounding)."""
+    return metrics(1, 1.0 + g, g)
 
 
 class TestTimingBreakdown:
@@ -46,59 +50,61 @@ class TestTimingBreakdown:
 
 class TestComputeOverhead:
     def test_serial_zero(self):
-        assert compute_overhead(TimingBreakdown(1, 5.0, 5.0)).seconds == 0.0
+        assert metrics(1, 5.0, 5.0).overhead == 0.0
 
     def test_perfectly_efficient(self):
-        assert compute_overhead(TimingBreakdown(4, 10.0, 40.0)).seconds == 0.0
+        assert metrics(4, 10.0, 40.0).overhead == 0.0
 
     def test_direct_arithmetic(self):
-        r = compute_overhead(TimingBreakdown(4, 10.0, 36.0))
-        assert r.seconds == pytest.approx(4.0)
-        assert not r.clamped
+        r = metrics(4, 10.0, 36.0)
+        assert r.overhead == pytest.approx(4.0)
+        assert not r.overhead_clamped
 
     def test_clamps_timer_noise(self):
-        r = compute_overhead(TimingBreakdown(1, 5.0, 5.0 + 4e-6))
-        assert r.seconds == 0.0
-        assert r.clamped
+        r = metrics(1, 5.0, 5.0 + 4e-6)
+        assert r.overhead == 0.0
+        assert r.overhead_clamped
 
     def test_zero_iff_full_budget(self):
         for comp in (0.0, 10.0, 39.0):
-            r = compute_overhead(TimingBreakdown(4, 10.0, comp))
-            assert r.seconds >= 0.0
-            assert (r.seconds == 0.0) == (comp == 4 * 10.0 or r.clamped)
-        assert compute_overhead(TimingBreakdown(4, 10.0, 40.0)).seconds == 0.0
+            r = metrics(4, 10.0, comp)
+            assert r.overhead >= 0.0
+            assert (r.overhead == 0.0) == (comp == 4 * 10.0 or r.overhead_clamped)
+        assert metrics(4, 10.0, 40.0).overhead == 0.0
 
 
 class TestIsogranularity:
     def test_arithmetic(self):
-        assert isogranularity(9.0, 1.0) == pytest.approx(9.0)
+        assert metrics(1, 10.0, 9.0).granularity == pytest.approx(9.0)
 
     def test_equal_split(self):
-        assert isogranularity(5.0, 5.0) == pytest.approx(1.0)
+        assert metrics(1, 10.0, 5.0).granularity == pytest.approx(1.0)
 
     def test_zero_overhead_limit(self):
-        assert isogranularity(7.0, 0.0) == INFINITE_GRANULARITY
+        assert metrics(1, 7.0, 7.0).granularity == math.inf
 
     def test_empty_measurement(self):
         with pytest.raises(ValueError, match="empty measurement"):
-            isogranularity(0.0, 0.0)
+            metrics(1, 5e-10, 0.0)
 
     def test_overhead_floor(self):
-        assert isogranularity(1.0, 5e-10) == INFINITE_GRANULARITY
-        assert math.isfinite(isogranularity(1.0, 2e-9))
+        assert metrics(1, 1.0 + 5e-10, 1.0).granularity == math.inf
+        assert math.isfinite(metrics(1, 1.0 + 2e-9, 1.0).granularity)
 
 
 class TestEfficiency:
     @pytest.mark.parametrize("g,expected", [(9.0, 0.9), (1.0, 0.5), (0.0, 0.0)])
     def test_examples(self, g, expected):
-        assert efficiency_from_granularity(g) == pytest.approx(expected)
+        assert with_granularity(g).efficiency == pytest.approx(expected)
 
     def test_infinite(self):
-        assert efficiency_from_granularity(INFINITE_GRANULARITY) == 1.0
+        assert metrics(1, 7.0, 7.0).efficiency == 1.0
 
     def test_both_forms_agree(self):
         for g in np.logspace(-6, 6, 200):
-            assert abs(efficiency_from_granularity(g) - 1.0 / (1.0 + 1.0 / g)) < 1e-12
+            m = with_granularity(g)
+            assert m.granularity == pytest.approx(g, rel=1e-9)
+            assert abs(m.efficiency - 1.0 / (1.0 + 1.0 / m.granularity)) < 1e-12
 
 
 class TestEstimatedSpeedup:
@@ -106,56 +112,47 @@ class TestEstimatedSpeedup:
         "e,p,expected", [(0.9, 4, 3.6), (1.0, 16, 16.0), (0.5, 8, 4.0)]
     )
     def test_examples(self, e, p, expected):
-        assert estimated_speedup(e, p) == pytest.approx(expected)
+        # E = total_comp / (p * wall_clock), so a unit wall clock gives efficiency e.
+        assert metrics(p, 1.0, e * p).estimated_speedup == pytest.approx(expected)
 
 
 class TestScalingLaws:
     def test_amdahl_examples(self):
-        assert amdahl_speedup(ScalingModelParams(parallel_fraction=1.0), 16) == 16.0
-        assert amdahl_speedup(ScalingModelParams(parallel_fraction=0.0), 64) == 1.0
-        assert amdahl_speedup(ScalingModelParams(parallel_fraction=0.9), 8) == pytest.approx(
-            1.0 / (0.1 + 0.9 / 8)
-        )
+        assert amdahl_speedup(1.0, 16) == 16.0
+        assert amdahl_speedup(0.0, 64) == 1.0
+        assert amdahl_speedup(0.9, 8) == pytest.approx(1.0 / (0.1 + 0.9 / 8))
 
     def test_gustafson_examples(self):
-        p = ScalingModelParams(scaled_parallel_fraction=1.0)
-        assert gustafson_speedup(p, 512) == 512.0
-        p = ScalingModelParams(scaled_parallel_fraction=0.0)
-        assert gustafson_speedup(p, 512) == 1.0
-        p = ScalingModelParams(scaled_parallel_fraction=0.9)
-        assert gustafson_speedup(p, 8) == pytest.approx(7.3)
+        assert gustafson_speedup(1.0, 512) == 512.0
+        assert gustafson_speedup(0.0, 512) == 1.0
+        assert gustafson_speedup(0.9, 8) == pytest.approx(7.3)
 
     def test_monotone_in_n_and_fraction(self):
         ns = [1, 2, 4, 8, 64, 512]
         fracs = np.linspace(0.0, 1.0, 11)
         for f in fracs:
-            amd = [amdahl_speedup(ScalingModelParams(parallel_fraction=f), n) for n in ns]
-            gus = [
-                gustafson_speedup(ScalingModelParams(scaled_parallel_fraction=f), n)
-                for n in ns
-            ]
+            amd = [amdahl_speedup(f, n) for n in ns]
+            gus = [gustafson_speedup(f, n) for n in ns]
             assert amd == sorted(amd)
             assert gus == sorted(gus)
         for n in ns:
-            amd = [amdahl_speedup(ScalingModelParams(parallel_fraction=f), n) for f in fracs]
-            gus = [
-                gustafson_speedup(ScalingModelParams(scaled_parallel_fraction=f), n)
-                for f in fracs
-            ]
+            amd = [amdahl_speedup(f, n) for f in fracs]
+            gus = [gustafson_speedup(f, n) for f in fracs]
             assert amd == sorted(amd)
             assert gus == sorted(gus)
 
     def test_amdahl_bound(self):
         for f in np.linspace(0.0, 0.999, 50):
             for n in (2, 8, 64, 1024):
-                s = amdahl_speedup(ScalingModelParams(parallel_fraction=f), n)
+                s = amdahl_speedup(f, n)
                 assert s <= min(n, 1.0 / (1.0 - f)) + 1e-12
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            ScalingModelParams(parallel_fraction=1.5)
-        with pytest.raises(ValueError):
-            amdahl_speedup(ScalingModelParams(), 0)
+        for law in (amdahl_speedup, gustafson_speedup):
+            with pytest.raises(ValueError, match="parallel fraction"):
+                law(1.5, 8)
+            with pytest.raises(ValueError):
+                law(0.0, 0)
 
 
 class TestFractionInference:
@@ -170,9 +167,7 @@ class TestFractionInference:
         # a dense grid of forward evaluations.
         target, n = 4.70588, 8
         grid = np.linspace(0.0, 1.0, 100001)
-        forward = np.array(
-            [amdahl_speedup(ScalingModelParams(parallel_fraction=f), n) for f in grid]
-        )
+        forward = np.array([amdahl_speedup(f, n) for f in grid])
         best = grid[np.argmin(np.abs(forward - target))]
         assert infer_amdahl_fraction(target, n).value == pytest.approx(best, abs=1e-4)
 
@@ -189,9 +184,9 @@ class TestFractionInference:
         ns = [2 ** k for k in range(1, 11)]
         for f in np.linspace(0.0, 1.0, 21):
             for n in ns:
-                s = amdahl_speedup(ScalingModelParams(parallel_fraction=f), n)
+                s = amdahl_speedup(f, n)
                 assert infer_amdahl_fraction(s, n).value == pytest.approx(f, abs=1e-9)
-                s = gustafson_speedup(ScalingModelParams(scaled_parallel_fraction=f), n)
+                s = gustafson_speedup(f, n)
                 assert infer_gustafson_fraction(s, n).value == pytest.approx(f, abs=1e-9)
 
     def test_anomaly_flagging(self):
@@ -238,3 +233,18 @@ class TestPipelineIdentity:
         assert m.estimated_speedup == pytest.approx(36.0 / 10.0)
         assert m.granularity == pytest.approx(9.0)
         assert m.efficiency == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("breakdown, expected", [
+        ((4, 10.0, 36.0), GranularityMetrics(4.0, 9.0, 0.9, 3.6, False)),
+        ((1, 5.0, 5.0 + 4e-6), GranularityMetrics(0.0, math.inf, 1.0, 1.0, True)),
+        ((8, 1.0, 4.0), GranularityMetrics(4.0, 1.0, 0.5, 4.0, False)),
+    ], ids=["overhead", "clamped", "equal-split"])
+    def test_exact_metrics(self, breakdown, expected):
+        assert metrics(*breakdown) == expected
+
+    @pytest.mark.parametrize("breakdown", [
+        (1, math.nan, 0.5), (1, 1.0, math.nan), (math.nan, 1.0, 0.5), (1, math.inf, math.inf),
+    ], ids=["nan-wall", "nan-comp", "nan-workers", "inf-wall-and-comp"])
+    def test_non_finite_rejected(self, breakdown):
+        with pytest.raises(ValueError):
+            metrics(*breakdown)
