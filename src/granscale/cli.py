@@ -6,12 +6,13 @@ Subcommands:
   granscale report --in results.jsonl --format csv|table|json --out <path>
   granscale validate-fixture
 
-`run` exits 0 on full completion, 1 when the plan file is not a valid plan
-(before anything is written), and 2 when the sweep stopped partway with a
-failure (the results file keeps every completed cell). `--records` writes
-one JSON line per kept run (its spans, see `RunRecord.from_json`) to a file:
-a fresh run rewrites it, and `--resume` keeps the runs of the cells already
-in `--out`. The plan file and these paths are a sweep's only inputs.
+`run` exits 0 on full completion, 1 when the plan file cannot be read or is
+not a valid plan (before anything is written), and 2 when the sweep stopped
+partway with a failure (the results file keeps every completed cell).
+`--records` writes one JSON line per kept run (its spans, see
+`RunRecord.from_json`) to a file: a fresh run rewrites it, and `--resume`
+keeps the runs of the cells already in `--out`. The plan file and these
+paths are a sweep's only inputs.
 `validate-fixture` prints the deviation table and exits 0/1 on pass/fail.
 """
 
@@ -30,7 +31,7 @@ from . import fixture, harness, report
 def _cmd_run(args) -> int:
     try:
         plan = harness.ExperimentPlan.from_dict(json.loads(Path(args.plan).read_text()))
-    except (ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {args.plan}: invalid plan: {exc}", file=sys.stderr)
         return 1
     try:

@@ -5,7 +5,9 @@ executes each cell serially (never two at once) with one untimed warm-up
 run plus the configured repetitions, applies outlier rejection to the
 wall-clock series (runs are kept or dropped atomically), derives the
 granularity metrics from the mean timing breakdown, and persists one result
-line per cell so an interrupted sweep can resume.
+line per cell so an interrupted sweep can resume. Resume cuts the results
+file and the optional records file by one rule: the completed cells' complete
+lines stay, every byte after them goes.
 
 The serial baseline of a problem size is its p=1 cell: the same parallel
 code at one worker under the identical protocol. With measure_serial_baseline
@@ -116,6 +118,11 @@ class ExperimentPlan:
             raise ValueError("worker counts must be positive")
         if self.base_problem_size < 1:
             raise ValueError("base_problem_size must be >= 1")
+        if self.mode == "weak" and self.base_problem_size % self.worker_counts[0]:
+            raise ValueError(
+                f"weak scaling needs base_problem_size divisible by the smallest "
+                f"worker count ({self.base_problem_size} % {self.worker_counts[0]} != 0)"
+            )
         if self.problem_sizes is not None and any(s < 1 for s in self.problem_sizes):
             raise ValueError("problem sizes must be positive")
         if self.repetitions < 1:
@@ -162,13 +169,7 @@ def plan_cells(plan: ExperimentPlan) -> list[tuple[int, int]]:
     if plan.mode == "strong":
         sizes = plan.problem_sizes or (plan.base_problem_size,)
         return [(p, s) for p in plan.worker_counts for s in sorted(sizes)]
-    min_p = plan.worker_counts[0]
-    if plan.base_problem_size % min_p != 0:
-        raise ValueError(
-            f"weak scaling needs base_problem_size divisible by the smallest "
-            f"worker count ({plan.base_problem_size} % {min_p} != 0)"
-        )
-    per_worker = plan.base_problem_size // min_p
+    per_worker = plan.base_problem_size // plan.worker_counts[0]
     return [(p, per_worker * p) for p in plan.worker_counts]
 
 
@@ -317,30 +318,22 @@ def load_results(results_path: Union[str, Path]) -> ResultSet:
     return ResultSet(plan=plan, plan_hash=header["plan_hash"], cells=cells)
 
 
-def _drop_torn_tail(path: Path) -> int:
-    """Truncate path to the end of its last complete line; return its new size.
+def _cut_to_lines(path: Path, n: Optional[int] = None) -> int:
+    """Truncate path after its first n complete lines, all when n is None; return how many.
 
     Every line is written whole and flushed, so a crash mid-write leaves at
-    most one unterminated fragment at the end; appending after it would
-    merge the next line into it. A crash during the header's write leaves
-    an empty file.
+    most one unterminated fragment after the complete lines; appending after
+    it would merge the next line into it, so it always goes. A crash during
+    a results header's write leaves an empty file.
     """
-    raw = path.read_bytes()
-    end = raw.rfind(b"\n") + 1
-    if end < len(raw):
-        log.warning("%s: dropping a torn final line (%d bytes)", path, len(raw) - end)
-        os.truncate(path, end)
-    return end
-
-
-def _keep_lines(path: Path, n: int) -> None:
-    """Truncate path after its first n complete lines; leave a file with fewer as it is."""
     with path.open("rb") as f:
         lines = [line for line in itertools.islice(f, n) if line.endswith(b"\n")]
     end, size = sum(map(len, lines)), path.stat().st_size
-    if len(lines) == n and end < size:
-        log.warning("%s: dropping %d bytes after the completed cells' runs", path, size - end)
+    if end < size:
+        log.warning("%s: dropping %d bytes after line %d (a torn final line or the runs "
+                    "of an unfinished cell)", path, size - end, len(lines))
         os.truncate(path, end)
+    return len(lines)
 
 
 def run_plan(
@@ -365,7 +358,7 @@ def run_plan(
 
     records_path receives one JSON line per kept run, cell by cell. A fresh
     sweep rewrites it; a resumed one keeps the runs of the cells taken from
-    out_path and drops any lines after them.
+    out_path and drops any bytes after them, a torn line included.
     """
     h = plan_hash(plan)
     cells = plan_cells(plan)
@@ -384,7 +377,7 @@ def run_plan(
     prior = None
     if out_path is not None:
         out_path = Path(out_path)
-        if resume and out_path.exists() and _drop_torn_tail(out_path):
+        if resume and out_path.exists() and _cut_to_lines(out_path):
             prior = load_results(out_path)
             if prior.plan_hash != h:
                 raise ValueError("plan mismatch")
@@ -399,7 +392,7 @@ def run_plan(
         if records_path is not None:
             records_path = Path(records_path)
             if completed and records_path.exists():
-                _keep_lines(records_path, sum(c.kept for c in completed.values()))
+                _cut_to_lines(records_path, sum(c.kept for c in completed.values()))
             records_file = files.enter_context(records_path.open("a" if completed else "w"))
         if out_path is not None:
             out_file = files.enter_context(out_path.open("w" if prior is None else "a"))
@@ -443,7 +436,7 @@ def resume(results_path: Union[str, Path]) -> ResultSet:
     and its cell re-run. A file left empty by a crash during the header's
     write holds no plan; run_plan with the plan and resume=True starts it afresh.
     """
-    if not _drop_torn_tail(Path(results_path)):
+    if not _cut_to_lines(Path(results_path)):
         raise ValueError(
             f"{results_path}: empty results file, so its plan is unknown; rerun with "
             f"`granscale run --plan PLAN --out {results_path} --resume`"

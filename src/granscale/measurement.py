@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import json
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Iterator, Optional
 
 from .metrics import TimingBreakdown
@@ -41,9 +39,8 @@ class Span:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Immutable evidence of one completed instrumented run."""
+    """Immutable evidence of one run; no id or clock time, so simulated runs are exact."""
 
-    run_id: str
     workload_id: str
     workers: int
     problem_size: int
@@ -51,7 +48,6 @@ class RunRecord:
     wall_clock: float
     spans: tuple[Span, ...]
     iterations: int
-    started_at: str
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -63,14 +59,12 @@ class RunRecord:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "run_id": self.run_id,
                 "workload_id": self.workload_id,
                 "workers": self.workers,
                 "problem_size": self.problem_size,
                 "seed": self.seed,
                 "wall_clock_s": self.wall_clock,
                 "iterations": self.iterations,
-                "started_at": self.started_at,
                 "spans": [
                     {"worker": s.worker_id, "duration_s": s.duration, "phase": s.phase_label}
                     for s in self.spans
@@ -80,12 +74,12 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
+        """Inverse of to_json; unknown keys (older records' id and start time) are ignored."""
         obj = json.loads(text)
         spans = tuple(
             Span(s["worker"], s["duration_s"], s["phase"]) for s in obj["spans"]
         )
         return cls(
-            run_id=obj["run_id"],
             workload_id=obj["workload_id"],
             workers=obj["workers"],
             problem_size=obj["problem_size"],
@@ -93,7 +87,6 @@ class RunRecord:
             wall_clock=obj["wall_clock_s"],
             spans=spans,
             iterations=obj["iterations"],
-            started_at=obj["started_at"],
         )
 
 
@@ -115,8 +108,6 @@ class RunHandle:
         self.problem_size = problem_size
         self.seed = seed
         self.iterations = 0
-        self.run_id = uuid.uuid4().hex
-        self.started_at = datetime.now(timezone.utc).isoformat()
         self._buffers: list[list[Span]] = [[] for _ in range(workers)]
         self._start = time.perf_counter()
         self._finished = False
@@ -150,7 +141,6 @@ class RunHandle:
             wall_clock = time.perf_counter() - self._start
         spans = tuple(s for buf in self._buffers for s in buf)
         return RunRecord(
-            run_id=self.run_id,
             workload_id=self.workload_id,
             workers=self.workers,
             problem_size=self.problem_size,
@@ -158,7 +148,6 @@ class RunHandle:
             wall_clock=wall_clock,
             spans=spans,
             iterations=self.iterations,
-            started_at=self.started_at,
         )
 
 

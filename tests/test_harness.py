@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -22,17 +23,6 @@ from granscale.workloads import KMeansSpec, PiSpec, SyntheticSpec
 
 SIM = SyntheticSpec(compute_ms_per_worker=5, exchange_ms_per_worker=1,
                     iterations=1, simulate=True)
-
-
-def timeless_runs(path):
-    """A records file's runs without their random id and start time.
-
-    Simulate-mode runs agree in everything else from one sweep to the next.
-    """
-    runs = [json.loads(line) for line in path.read_text().splitlines()]
-    for run in runs:
-        del run["run_id"], run["started_at"]
-    return runs
 
 
 def sim_plan(**overrides):
@@ -109,10 +99,10 @@ class TestPlanCells:
         assert len({size // p for p, size in cells}) == 1
 
     def test_weak_indivisible(self):
-        plan = sim_plan(mode="weak", worker_counts=(3,), base_problem_size=100,
-                        problem_sizes=None)
-        with pytest.raises(ValueError):
-            plan_cells(plan)
+        # Rejected when the plan is built, before any cell is expanded or run.
+        with pytest.raises(ValueError, match="divisible by the smallest worker count"):
+            sim_plan(mode="weak", worker_counts=(3,), base_problem_size=100,
+                     problem_sizes=None)
 
     def test_pure_function(self):
         plan = sim_plan(worker_counts=(1, 2, 4), problem_sizes=(10, 20))
@@ -281,10 +271,15 @@ class TestRunPlan:
         pytest.param({"mode": "strong"}, id="plan-without-workload"),
         pytest.param({**sim_plan().to_dict(), "mode": "sideways"}, id="plan-bad-mode"),
         pytest.param({**sim_plan().to_dict(), "problem_sizes": [0, 4]}, id="plan-size-zero"),
+        pytest.param({**sim_plan().to_dict(), "mode": "weak", "worker_counts": [2, 4],
+                      "base_problem_size": 5, "problem_sizes": None},
+                     id="weak-base-indivisible"),
+        pytest.param(None, id="plan-file-missing"),
     ])
     def test_cli_run_rejects_invalid_plan(self, tmp_path, capsys, plan_obj):
         plan_file, out = tmp_path / "plan.json", tmp_path / "r.jsonl"
-        plan_file.write_text(json.dumps(plan_obj))
+        if plan_obj is not None:
+            plan_file.write_text(json.dumps(plan_obj))
         assert cli.main(["run", "--plan", str(plan_file), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {plan_file}: invalid plan: ")
         assert not out.exists()
@@ -304,10 +299,10 @@ class TestRunPlan:
         plan = sim_plan(worker_counts=(2,), problem_sizes=(4, 8))
         out, records = tmp_path / "r.jsonl", tmp_path / "runs.jsonl"
         run_plan(plan, out_path=out, records_path=records)
-        first = timeless_runs(records)
+        first = records.read_bytes()
         run_plan(plan, out_path=out, records_path=records)
-        assert timeless_runs(records) == first
-        assert len(first) == sum(c.kept for c in load_results(out).cells) == 12
+        assert records.read_bytes() == first
+        assert len(first.splitlines()) == sum(c.kept for c in load_results(out).cells) == 12
 
 
 class TestResume:
@@ -404,25 +399,78 @@ class TestResume:
     def test_resume_drops_runs_of_unfinished_cell(self, tmp_path, torn):
         # A crash after the (2, 4) cell's runs were flushed, before its results line.
         plan, out, records = self._run_with_records(tmp_path)
-        full_out, full_runs = out.read_bytes(), timeless_runs(records)
+        full_out, full_runs = out.read_bytes(), records.read_bytes()
         out.write_bytes(b"".join(full_out.splitlines(keepends=True)[:3]))  # the two baselines
-        runs = records.read_bytes().splitlines(keepends=True)
+        runs = full_runs.splitlines(keepends=True)
         records.write_bytes(b"".join(runs[:9]) + runs[9][:torn])
         run_plan(plan, out_path=out, resume=True, records_path=records)
         assert out.read_bytes() == full_out
-        assert timeless_runs(records) == full_runs
-        assert records.read_bytes().startswith(b"".join(runs[:6]))
+        assert records.read_bytes() == full_runs
 
     def test_resume_keeps_short_records(self, tmp_path):
         # Fewer runs than the completed cells kept: nothing is dropped.
         plan, out, records = self._run_with_records(tmp_path)
-        full_runs = timeless_runs(records)
+        runs = records.read_bytes().splitlines(keepends=True)
         out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:3]))
-        short = b"".join(records.read_bytes().splitlines(keepends=True)[:4])
-        records.write_bytes(short)
+        records.write_bytes(b"".join(runs[:4]))
         run_plan(plan, out_path=out, resume=True, records_path=records)
-        assert records.read_bytes().startswith(short)
-        assert timeless_runs(records) == full_runs[:4] + full_runs[6:]
+        assert records.read_bytes() == b"".join(runs[:4] + runs[6:])
+
+    def test_resume_drops_torn_tail_of_short_records(self, tmp_path):
+        # Unsynced writes lost to a power failure can leave fewer runs than the
+        # completed cells kept, ending in a fragment; the next run must not
+        # be appended onto it.
+        plan, out, records = self._run_with_records(tmp_path)
+        runs = records.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:3]))
+        records.write_bytes(b"".join(runs[:4]) + runs[4][:20])
+        run_plan(plan, out_path=out, resume=True, records_path=records)
+        assert records.read_bytes() == b"".join(runs[:4] + runs[6:])
+
+    @staticmethod
+    def _write_sequence(out_bytes, records_bytes):
+        """run_plan's writes in order: the header, then each cell's runs and its results line."""
+        out_lines = out_bytes.splitlines(keepends=True)
+        runs = iter(records_bytes.splitlines(keepends=True))
+        sequence = [("out", out_lines[0])]
+        for line in out_lines[1:]:
+            kept = json.loads(line)["kept"]
+            sequence += [("records", run) for run in itertools.islice(runs, kept)]
+            sequence.append(("out", line))
+        return sequence
+
+    def _check_crash_resumed(self, tmp_path, every_byte=False):
+        """Crash after 0, 1, the middle and len-1 bytes of every line of the write
+        sequence, and at its end (or after every byte); resume; compare both files.
+        Returns the number of crash points checked."""
+        plan = sim_plan(worker_counts=(2,), problem_sizes=(4,))
+        out, records = tmp_path / "r.jsonl", tmp_path / "runs.jsonl"
+        run_plan(plan, out_path=out, records_path=records)
+        full = {"out": out.read_bytes(), "records": records.read_bytes()}
+        sequence = self._write_sequence(full["out"], full["records"])
+        ends = list(itertools.accumulate(len(line) for _, line in sequence))
+        cuts = set(range(ends[-1] + 1)) if every_byte else {ends[-1]}
+        for end, (_, line) in zip(ends, sequence):
+            start = end - len(line)
+            cuts |= {start, start + 1, start + len(line) // 2, end - 1}
+        for cut in sorted(cuts):
+            crashed = {"out": b"", "records": b""}
+            left = cut
+            for name, line in sequence:
+                if left <= 0:
+                    break
+                crashed[name] += line[:left]
+                left -= len(line)
+            out.write_bytes(crashed["out"])
+            records.write_bytes(crashed["records"])
+            run_plan(plan, out_path=out, resume=True, records_path=records)
+            assert out.read_bytes() == full["out"], f"results file, cut at byte {cut}"
+            assert records.read_bytes() == full["records"], f"records file, cut at byte {cut}"
+        return len(cuts)
+
+    def test_crash_anywhere_in_write_sequence_resumed(self, tmp_path):
+        # Header, 3 baseline runs, baseline line, 3 runs, (2, 4) line: 9 lines.
+        assert self._check_crash_resumed(tmp_path) == 4 * 9 + 1
 
     def test_progress_marks_resumed_cells(self, tmp_path, caplog):
         plan, out = self._full_run(tmp_path)
@@ -540,6 +588,10 @@ PINNED_RESULTS = (
 # sha256 of `granscale report --format json` on that file.
 PINNED_REPORT_SHA256 = "e8e2d2b5b67540cd0c4fd4ac4b5fece2823380693d3905d9c363e064a53b498c"
 
+# sha256 of the records file of the same sweep: a record has no id or
+# timestamp, so simulate mode makes it as exact as the results file.
+PINNED_RECORDS_SHA256 = "cdc342d40f27910842ab364fb4f7e93aed8eb34be8e3674954272b3daba7ed18"
+
 
 class TestPinnedBytes:
     def _plan(self):
@@ -554,6 +606,11 @@ class TestPinnedBytes:
         run_plan(self._plan(), out_path=out)
         assert out.read_text().splitlines() == list(PINNED_RESULTS)
         assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("dfa6028d757f5b5c")
+
+    def test_records_file_bytes(self, tmp_path):
+        records = tmp_path / "runs.jsonl"
+        run_plan(self._plan(), out_path=tmp_path / "r.jsonl", records_path=records)
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == PINNED_RECORDS_SHA256
 
     def test_json_report_bytes(self, tmp_path):
         results = tmp_path / "r.jsonl"

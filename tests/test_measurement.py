@@ -1,3 +1,4 @@
+import json
 import threading
 import time
 
@@ -197,13 +198,27 @@ class TestSerialization:
         assert back == rec
 
     def test_json_schema_fields(self):
-        import json
-
         h = begin_run("pi", 1, 100, 7)
         h.record_span(0, 0.1, "sample")
         obj = json.loads(h.finish().to_json())
         assert set(obj) == {
-            "run_id", "workload_id", "workers", "problem_size", "seed",
-            "wall_clock_s", "iterations", "started_at", "spans",
+            "workload_id", "workers", "problem_size", "seed",
+            "wall_clock_s", "iterations", "spans",
         }
         assert set(obj["spans"][0]) == {"worker", "duration_s", "phase"}
+
+    def test_older_line_with_id_and_start_time_loads(self):
+        # Records files written before runs lost their random id and start time.
+        line = (
+            '{"run_id": "a19272e13bce462bb070870a94150b6f", "workload_id": "synthetic", '
+            '"workers": 1, "problem_size": 4, "seed": 6092550624438945337, '
+            '"wall_clock_s": 0.024, "iterations": 4, '
+            '"started_at": "2025-01-01T12:00:00.000000+00:00", '
+            '"spans": [{"worker": 0, "duration_s": 0.005, "phase": "busy"}]}'
+        )
+        rec = RunRecord.from_json(line)
+        assert rec == RunRecord("synthetic", 1, 4, 6092550624438945337, 0.024,
+                                (Span(0, 0.005, "busy"),), 4)
+        obj = json.loads(line)
+        del obj["run_id"], obj["started_at"]
+        assert rec.to_json() == json.dumps(obj)
