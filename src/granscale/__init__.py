@@ -40,8 +40,7 @@ from .harness import (
     run_plan,
 )
 from .report import (
-    ReportRow,
-    report_rows,
+    json_report,
     scalability_verdict,
     strong_scaling_csv,
     weak_scaling_tables,

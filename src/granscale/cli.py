@@ -3,12 +3,16 @@
 Subcommands:
   granscale run --plan plan.json --out results.jsonl [--resume]
                 [--records records.jsonl]
-  granscale report --in results.jsonl --format csv|table|json --out <path>
+  granscale report --in results.jsonl --format csv|table|json [--out path]
+                   [--verdict]
   granscale validate-fixture
 
 `run` exits 0 on full completion, 1 when the plan file cannot be read or is
 not a valid plan (before anything is written), and 2 when the sweep stopped
 partway with a failure (the results file keeps every completed cell).
+`report` exits 0, or 1 when the results file cannot be read or cannot be
+rendered as asked (a corrupt line, a verdict on no cells, weak tables without
+a p=1 cell); it names the file and the fault and writes nothing.
 `--records` writes one JSON line per kept run (its spans, see
 `RunRecord.from_json`) to a file: a fresh run rewrites it, and `--resume`
 keeps the runs of the cells already in `--out`. The plan file and these
@@ -19,7 +23,6 @@ paths are a sweep's only inputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -46,22 +49,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    results = harness.load_results(args.infile)
-    if args.format == "json":
-        rows = [
-            {**dataclasses.asdict(r), "anomaly_flags": sorted(r.anomaly_flags)}
-            for r in report.report_rows(results)
-        ]
-        text = json.dumps(rows, indent=2) + "\n"
-    elif results.mode == "strong":
-        if args.format == "table":
-            print("aligned tables are produced for weak-mode results; "
-                  "emitting CSV for this strong-mode sweep", file=sys.stderr)
-        text = report.strong_scaling_csv(results)
-    else:
-        time_table, speedup_table = report.weak_scaling_tables(results, fmt=args.format)
-        text = time_table + "\n" + speedup_table
-    text += "\n" + report.scalability_verdict(results) + "\n" if args.verdict else ""
+    try:
+        results = harness.load_results(args.infile)
+        if args.format == "json":
+            text = report.json_report(results)
+        elif results.mode == "strong":
+            if args.format == "table":
+                print("aligned tables are produced for weak-mode results; "
+                      "emitting CSV for this strong-mode sweep", file=sys.stderr)
+            text = report.strong_scaling_csv(results)
+        else:
+            time_table, speedup_table = report.weak_scaling_tables(results, fmt=args.format)
+            text = time_table + "\n" + speedup_table
+        text += "\n" + report.scalability_verdict(results) + "\n" if args.verdict else ""
+    except (OSError, ValueError) as exc:
+        # load_results's own messages already begin with the path.
+        message = str(exc).removeprefix(f"{Path(args.infile)}: ")
+        print(f"error: {args.infile}: {message}", file=sys.stderr)
+        return 1
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")

@@ -1,4 +1,4 @@
-"""Presentation of sweep results: CSV curves, weak-scaling tables, verdicts.
+"""Presentation of sweep results: CSV curves, weak-scaling tables, JSON, verdicts.
 
 All emitters are pure functions of the ResultSet and byte-deterministic.
 CSV carries full float precision; aligned text tables round to 3 decimals.
@@ -7,15 +7,14 @@ CSV carries full float precision; aligned text tables round to 3 decimals.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+import json
 from typing import Optional
 
 from .harness import CellResult, ResultSet
 from .metrics import infer_gustafson_fraction
 
 __all__ = [
-    "ReportRow",
-    "report_rows",
+    "json_report",
     "strong_scaling_csv",
     "weak_scaling_tables",
     "scalability_verdict",
@@ -25,43 +24,32 @@ FLAG_CLAMPED = "clamped_overhead"
 FLAG_SUPERLINEAR = "superlinear"
 FLAG_INCOMPLETE = "incomplete_samples"
 
+# The results-line keys of one JSON report object, in order; anomaly_flags follows.
+JSON_KEYS = ("workers", "problem_size", "mean_wall", "granularity", "efficiency",
+             "estimated_speedup", "actual_speedup", "relative_error")
 
-@dataclass(frozen=True)
-class ReportRow:
-    workers: int
-    problem_size: int
-    mean_wall: float
-    granularity: float
-    efficiency: float
-    estimated_speedup: float
-    actual_speedup: Optional[float]
-    relative_error: Optional[float]
-    anomaly_flags: frozenset[str]
+# Strong mode is scalable when efficiency at the largest p reaches this floor.
+EFFICIENCY_FLOOR = 0.5
 
 
-def _row(cell: CellResult, target_repetitions: int) -> ReportRow:
-    flags = set()
-    if cell.metrics.overhead_clamped:
-        flags.add(FLAG_CLAMPED)
-    if cell.actual_speedup is not None and cell.actual_speedup > cell.workers:
-        flags.add(FLAG_SUPERLINEAR)
-    if cell.kept < target_repetitions:
-        flags.add(FLAG_INCOMPLETE)
-    return ReportRow(
-        workers=cell.workers,
-        problem_size=cell.problem_size,
-        mean_wall=cell.mean_wall,
-        granularity=cell.metrics.granularity,
-        efficiency=cell.metrics.efficiency,
-        estimated_speedup=cell.metrics.estimated_speedup,
-        actual_speedup=cell.actual_speedup,
-        relative_error=cell.relative_error,
-        anomaly_flags=frozenset(flags),
-    )
+def anomaly_flags(cell: CellResult, repetitions: int) -> list[str]:
+    """The cell's anomaly flags, sorted; repetitions is the plan's target."""
+    flags = {
+        FLAG_CLAMPED: cell.metrics.overhead_clamped,
+        FLAG_SUPERLINEAR: cell.actual_speedup is not None and cell.actual_speedup > cell.workers,
+        FLAG_INCOMPLETE: cell.kept < repetitions,
+    }
+    return sorted(flag for flag, is_set in flags.items() if is_set)
 
 
-def report_rows(results: ResultSet) -> list[ReportRow]:
-    return [_row(c, results.plan.repetitions) for c in results.cells]
+def json_report(results: ResultSet) -> str:
+    """One object per cell, in results order: its JSON_KEYS values, then anomaly_flags."""
+    rows = []
+    for cell in results.cells:
+        line = cell.to_dict()
+        rows.append({**{k: line[k] for k in JSON_KEYS},
+                     "anomaly_flags": anomaly_flags(cell, results.plan.repetitions)})
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -74,11 +62,11 @@ def strong_scaling_csv(results: ResultSet) -> str:
         raise ValueError(f"expected strong-mode results, got mode {results.mode!r}")
     out = io.StringIO()
     out.write("workers,problem_size,actual_speedup,estimated_speedup,relative_error,efficiency\n")
-    for row in sorted(report_rows(results), key=lambda r: (r.problem_size, r.workers)):
+    for c in sorted(results.cells, key=lambda c: (c.problem_size, c.workers)):
         out.write(
-            f"{row.workers},{row.problem_size},{_fmt(row.actual_speedup)},"
-            f"{_fmt(row.estimated_speedup)},{_fmt(row.relative_error)},"
-            f"{_fmt(row.efficiency)}\n"
+            f"{c.workers},{c.problem_size},{_fmt(c.actual_speedup)},"
+            f"{_fmt(c.metrics.estimated_speedup)},{_fmt(c.relative_error)},"
+            f"{_fmt(c.metrics.efficiency)}\n"
         )
     return out.getvalue()
 
@@ -105,9 +93,7 @@ def weak_scaling_tables(results: ResultSet, fmt: str = "csv") -> tuple[str, str]
     def render(rows: list[list[str]], header: list[str]) -> str:
         if fmt == "csv":
             return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
-        ]
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
         lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
         for r in rows:
             lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
@@ -135,19 +121,13 @@ def weak_scaling_tables(results: ResultSet, fmt: str = "csv") -> tuple[str, str]
     return render(time_rows, time_header), render(speedup_rows, speedup_header)
 
 
-def within_band(values: list[float], band: float = 0.25) -> bool:
-    """True when max/min spread of the values stays within the band."""
-    lo, hi = min(values), max(values)
-    return lo > 0 and (hi - lo) / lo <= band
-
-
-def scalability_verdict(results: ResultSet, efficiency_floor: float = 0.5) -> str:
+def scalability_verdict(results: ResultSet) -> str:
     """One-line verdict plus the failing cells, if any.
 
     Strong mode: scalable when efficiency at the largest worker count stays
-    at or above the floor for every problem size. Weak mode: scalable when
-    mean wall time varies by at most 25% across each fixed per-worker-size
-    track.
+    at or above EFFICIENCY_FLOOR for every problem size. Weak mode: scalable
+    when mean wall time varies by at most 25% ((max - min) / min) across each
+    fixed per-worker-size track.
     """
     if not results.cells:
         raise ValueError("empty results")
@@ -155,10 +135,10 @@ def scalability_verdict(results: ResultSet, efficiency_floor: float = 0.5) -> st
     if results.mode == "strong":
         max_p = max(c.workers for c in results.cells)
         for c in results.cells:
-            if c.workers == max_p and c.metrics.efficiency < efficiency_floor:
+            if c.workers == max_p and c.metrics.efficiency < EFFICIENCY_FLOOR:
                 failing.append(
                     f"(p={c.workers}, size={c.problem_size}): "
-                    f"efficiency {c.metrics.efficiency:.3f} < {efficiency_floor}"
+                    f"efficiency {c.metrics.efficiency:.3f} < {EFFICIENCY_FLOOR}"
                 )
     else:
         tracks: dict[int, list[CellResult]] = {}
@@ -166,7 +146,8 @@ def scalability_verdict(results: ResultSet, efficiency_floor: float = 0.5) -> st
             tracks.setdefault(c.problem_size // c.workers, []).append(c)
         for per_worker, cells in sorted(tracks.items()):
             walls = [c.mean_wall for c in cells]
-            if not within_band(walls):
+            lo, hi = min(walls), max(walls)
+            if not (lo > 0 and (hi - lo) / lo <= 0.25):
                 detail = ", ".join(
                     f"(p={c.workers}, size={c.problem_size}): {c.mean_wall:.3f}s"
                     for c in cells

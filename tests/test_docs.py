@@ -1,4 +1,4 @@
-"""The README's CLI synopsis and plan example match the code."""
+"""The README's CLI synopsis, plan example and JSON report keys match the code."""
 
 import argparse
 import json
@@ -7,23 +7,29 @@ from pathlib import Path
 
 import pytest
 
-from granscale import cli
+from granscale import cli, report
 from granscale.harness import ExperimentPlan
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
-def _run_flags_of_parser() -> set[str]:
+def _flags_of_parser(command: str) -> set[str]:
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {s for a in sub.choices["run"]._actions for s in a.option_strings} - {"-h", "--help"}
+    return {s for a in sub.choices[command]._actions for s in a.option_strings} - {"-h", "--help"}
 
 
-@pytest.mark.parametrize("text", [README, cli.__doc__], ids=["README", "cli-docstring"])
-def test_run_synopsis_lists_the_parser_flags(text):
-    synopsis = text[text.index("granscale run "):]
-    synopsis = synopsis[:synopsis.index("granscale ", len("granscale run "))]
-    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == _run_flags_of_parser()
+@pytest.mark.parametrize("text, command", [
+    pytest.param(README, "run", id="README"),
+    pytest.param(cli.__doc__, "run", id="cli-docstring"),
+    pytest.param(README, "report", id="README-report"),
+    pytest.param(cli.__doc__, "report", id="cli-docstring-report"),
+])
+def test_run_synopsis_lists_the_parser_flags(text, command):
+    start = f"granscale {command} "
+    synopsis = text[text.index(start):]
+    synopsis = synopsis[:synopsis.index("granscale ", len(start))]
+    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == _flags_of_parser(command)
 
 
 def test_plan_example_loads_with_every_key():
@@ -32,3 +38,13 @@ def test_plan_example_loads_with_every_key():
     plan = ExperimentPlan.from_dict(example)
     assert list(example) == list(plan.to_dict())
     assert list(example["workload"]) == list(plan.to_dict()["workload"])
+
+
+def test_json_report_keys_and_flags():
+    keys = re.search(r"Each object holds these keys, in this order:(.*?)\.\n", README,
+                     re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", keys) == [*report.JSON_KEYS, "anomaly_flags"]
+    table = README[README.index("| flag | set when |"):]
+    table = table[:table.index("\n\n")]
+    flags = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+    assert flags == sorted([report.FLAG_CLAMPED, report.FLAG_INCOMPLETE, report.FLAG_SUPERLINEAR])

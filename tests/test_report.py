@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from granscale import cli
 from granscale.fixture import (
     ANOMALOUS_CELLS,
     FIXTURE_SHA256,
@@ -9,14 +12,17 @@ from granscale.fixture import (
     fixture_checksum,
     validate_fixture,
 )
-from granscale.harness import ExperimentPlan, run_plan
+from granscale.harness import CellResult, ExperimentPlan, ResultSet, run_plan
+from granscale.metrics import TimingBreakdown, granularity_metrics
 from granscale.report import (
+    FLAG_CLAMPED,
+    FLAG_INCOMPLETE,
     FLAG_SUPERLINEAR,
-    report_rows,
+    anomaly_flags,
+    json_report,
     scalability_verdict,
     strong_scaling_csv,
     weak_scaling_tables,
-    within_band,
 )
 from granscale.workloads import SyntheticSpec
 
@@ -33,6 +39,26 @@ def run_sim(mode="strong", worker_counts=(1, 2), problem_sizes=(4, 8),
         repetitions=2, measure_serial_baseline=baseline, seed=5,
     )
     return run_plan(plan)
+
+
+def hand_built(mode, cells, repetitions=3):
+    """A ResultSet of the given cells under a simulate plan of that mode."""
+    plan = ExperimentPlan(
+        workload=SIM, mode=mode, worker_counts=(2, 4), base_problem_size=4,
+        problem_sizes=(4,) if mode == "strong" else None, repetitions=repetitions,
+    )
+    return ResultSet(plan=plan, plan_hash="hand-built", cells=cells)
+
+
+def cell(workers, size, wall, comp=None, kept=3, actual_speedup=None):
+    """A CellResult whose metrics are those of one run of that wall and compute."""
+    comp = 0.5 * workers * wall if comp is None else comp
+    return CellResult(
+        workload_id="synthetic", workers=workers, problem_size=size, mean_wall=wall,
+        mean_total_comp=comp, metrics=granularity_metrics(TimingBreakdown(workers, wall, comp)),
+        kept=kept, rejected=0, actual_speedup=actual_speedup,
+        relative_error=None if actual_speedup is None else 0.0,
+    )
 
 
 class TestStrongScalingCsv:
@@ -93,6 +119,14 @@ class TestWeakScalingTables:
         with pytest.raises(ValueError):
             weak_scaling_tables(res)
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_header_only(self, fmt):
+        # A sweep whose first cell failed leaves a results file with no cells.
+        time_table, speedup_table = weak_scaling_tables(hand_built("weak", []), fmt=fmt)
+        sep = "," if fmt == "csv" else "  "
+        assert time_table == sep.join(["problem_size", "T_1"]) + "\n"
+        assert speedup_table == sep.join(["problem_size", "gustafson_fraction"]) + "\n"
+
     def test_fixture_row_ratio(self):
         # Published weak-scaling row: T_1 = 178.132, T_32 = 5.659.
         assert 178.132 / 5.659 == pytest.approx(31.478, abs=1e-3)
@@ -112,7 +146,18 @@ class TestScalabilityVerdict:
 
     def test_paper_weak_track_within_band(self):
         # Published wall times along one weak track: 22.240, 23.137, 22.079 s.
-        assert within_band([22.240, 23.137, 22.079], band=0.25)
+        res = hand_built("weak", [cell(1, 10, 22.240), cell(2, 20, 23.137),
+                                  cell(4, 40, 22.079)])
+        assert scalability_verdict(res) == "scalable"
+
+    def test_weak_track_outside_band_not_scalable(self):
+        # 28.0 s is 26% above the track's fastest 22.240 s, beyond the 25% band.
+        res = hand_built("weak", [cell(1, 10, 22.240), cell(2, 20, 28.0),
+                                  cell(1, 20, 22.240), cell(2, 40, 23.137)])
+        assert scalability_verdict(res) == (
+            "not scalable\n"
+            "per-worker size 10: (p=1, size=10): 22.240s, (p=2, size=20): 28.000s"
+        )
 
     def test_empty_results(self):
         res = run_sim()
@@ -124,19 +169,70 @@ class TestScalabilityVerdict:
 class TestReportRows:
     def test_flags_and_bounds(self):
         res = run_sim()
-        for row in report_rows(res):
-            assert 0.0 <= row.efficiency <= 1.0
-            assert 0.0 <= row.estimated_speedup <= row.workers + 1e-9
-            if row.actual_speedup is not None and row.actual_speedup > row.workers:
-                assert FLAG_SUPERLINEAR in row.anomaly_flags
+        for row in json.loads(json_report(res)):
+            assert 0.0 <= row["efficiency"] <= 1.0
+            assert 0.0 <= row["estimated_speedup"] <= row["workers"] + 1e-9
+            if row["actual_speedup"] is not None and row["actual_speedup"] > row["workers"]:
+                assert FLAG_SUPERLINEAR in row["anomaly_flags"]
 
     def test_superlinear_flag_preserves_value(self):
         res = run_sim()
-        cell = res.cells[0]
-        object.__setattr__(cell, "actual_speedup", cell.workers * 1.5)
-        row = report_rows(res)[0]
-        assert FLAG_SUPERLINEAR in row.anomaly_flags
-        assert row.actual_speedup == cell.workers * 1.5
+        first = res.cells[0]
+        object.__setattr__(first, "actual_speedup", first.workers * 1.5)
+        row = json.loads(json_report(res))[0]
+        assert FLAG_SUPERLINEAR in row["anomaly_flags"]
+        assert FLAG_SUPERLINEAR in anomaly_flags(first, res.plan.repetitions)
+        assert row["actual_speedup"] == first.workers * 1.5
+
+    @pytest.mark.parametrize("kwargs, flags", [
+        # Compute 4 us over the one worker's wall: timer noise, clamped to 0 overhead.
+        pytest.param(dict(workers=1, wall=5.0, comp=5.0 + 4e-6), [FLAG_CLAMPED], id="clamped"),
+        pytest.param(dict(kept=2), [FLAG_INCOMPLETE], id="incomplete"),
+        pytest.param(dict(actual_speedup=2.5), [FLAG_SUPERLINEAR], id="superlinear"),
+        pytest.param(dict(workers=1, wall=5.0, comp=5.0 + 4e-6, kept=1, actual_speedup=1.5),
+                     [FLAG_CLAMPED, FLAG_INCOMPLETE, FLAG_SUPERLINEAR], id="all-three"),
+        pytest.param(dict(actual_speedup=1.5), [], id="none"),
+    ])
+    def test_anomaly_flags(self, kwargs, flags):
+        kwargs = {"workers": 2, "size": 4, "wall": 1.0, **kwargs}
+        (row,) = json.loads(json_report(hand_built("strong", [cell(**kwargs)])))
+        assert row["anomaly_flags"] == flags == sorted(flags)
+        assert row["actual_speedup"] == kwargs.get("actual_speedup")
+
+    def test_line_without_optional_keys(self):
+        line = cell(2, 4, 1.0, actual_speedup=1.5).to_dict()
+        del line["actual_speedup"], line["relative_error"]
+        (row,) = json.loads(json_report(hand_built("strong", [CellResult.from_dict(line)])))
+        assert (row["actual_speedup"], row["relative_error"]) == (None, None)
+        assert row["anomaly_flags"] == []
+
+
+class TestCliReport:
+    @pytest.mark.parametrize("fault, args", [
+        pytest.param("missing", [], id="missing"),
+        pytest.param("corrupt-line", [], id="corrupt-line"),
+        pytest.param("header-only", ["--verdict"], id="verdict-on-header-only"),
+        pytest.param("weak-no-baseline", [], id="weak-no-baseline"),
+    ])
+    def test_rejects_unreadable_results(self, tmp_path, capsys, fault, args):
+        infile, out = tmp_path / "r.jsonl", tmp_path / "report.txt"
+        if fault == "weak-no-baseline":
+            plan = ExperimentPlan(workload=SIM, mode="weak", worker_counts=(2, 4),
+                                  base_problem_size=4, repetitions=2,
+                                  measure_serial_baseline=False)
+            run_plan(plan, out_path=infile)
+        elif fault != "missing":
+            run_plan(ExperimentPlan(workload=SIM, mode="strong", worker_counts=(1, 2),
+                                    base_problem_size=4, repetitions=2), out_path=infile)
+            header, first = infile.read_text().splitlines()[:2]
+            rest = [first, "{not json"] if fault == "corrupt-line" else []
+            infile.write_text("\n".join([header] + rest) + "\n")
+        rc = cli.main(["report", "--in", str(infile), "--out", str(out)] + args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {infile}: ")
+        assert not err.startswith(f"error: {infile}: {infile}")
+        assert not out.exists()
 
 
 class TestFixture:
