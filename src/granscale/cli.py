@@ -7,12 +7,13 @@ Subcommands:
                    [--verdict]
   granscale validate-fixture
 
-`run` exits 0 on full completion, 1 when the plan file cannot be read or is
-not a valid plan (before anything is written), and 2 when the sweep stopped
-partway with a failure (the results file keeps every completed cell).
-`report` exits 0, or 1 when the results file cannot be read or cannot be
-rendered as asked (a corrupt line, a verdict on no cells, weak tables without
-a p=1 cell); it names the file and the fault and writes nothing.
+`run` exits 0 on full completion, 1 when the plan is not valid (before
+anything is written), and 2 when the sweep stopped partway with a failure
+(the results file keeps every completed cell).
+`report` exits 0, or 1 when the results file cannot be rendered as asked (a
+corrupt line, a verdict on no cells, weak tables without a p=1 cell); it
+names the file and the fault and writes nothing. Both exit 1 with
+`error: <path>: <reason>` when a file they name cannot be read or written.
 `--records` writes one JSON line per kept run (its spans, see
 `RunRecord.from_json`) to a file: a fresh run rewrites it, and `--resume`
 keeps the runs of the cells already in `--out`. The plan file and these
@@ -34,7 +35,7 @@ from . import fixture, harness, report
 def _cmd_run(args) -> int:
     try:
         plan = harness.ExperimentPlan.from_dict(json.loads(Path(args.plan).read_text()))
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {args.plan}: invalid plan: {exc}", file=sys.stderr)
         return 1
     try:
@@ -62,7 +63,7 @@ def _cmd_report(args) -> int:
             time_table, speedup_table = report.weak_scaling_tables(results, fmt=args.format)
             text = time_table + "\n" + speedup_table
         text += "\n" + report.scalability_verdict(results) + "\n" if args.verdict else ""
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         # load_results's own messages already begin with the path.
         message = str(exc).removeprefix(f"{Path(args.infile)}: ")
         print(f"error: {args.infile}: {message}", file=sys.stderr)
@@ -110,7 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a file could not be read or written: name it, no traceback
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
+        print(f"error: {where}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -125,6 +125,10 @@ class ExperimentPlan:
             )
         if self.problem_sizes is not None and any(s < 1 for s in self.problem_sizes):
             raise ValueError("problem sizes must be positive")
+        if self.problem_sizes and len(set(self.problem_sizes)) < len(self.problem_sizes):
+            raise ValueError(f"problem sizes must be distinct, got {list(self.problem_sizes)}")
+        if self.mode == "weak" and self.problem_sizes:
+            raise ValueError("a weak plan takes no problem_sizes; its sizes follow base_problem_size")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.outlier_side not in ("both", "upper"):

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from ..measurement import RunHandle, RunRecord
-from ._pool import run_workers
+from ._pool import part_sizes, run_workers
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -120,17 +120,6 @@ def kmeans_serial(spec: KMeansSpec, data: np.ndarray) -> tuple[np.ndarray, np.nd
     return centroids, labels, iterations
 
 
-def _partition_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    base, rem = divmod(n, workers)
-    bounds = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < rem else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
 def kmeans_parallel(
     spec: KMeansSpec,
     data: np.ndarray,
@@ -144,17 +133,15 @@ def kmeans_parallel(
         raise ValueError("underfilled partition")
 
     init = _initial_centroids(spec, data)
-    bounds = _partition_bounds(spec.n_points, workers)
+    edges = [0, *accumulate(part_sizes(spec.n_points, workers))]
     k = spec.n_clusters
 
     partial_counts: list = [None] * workers
     partial_sums: list = [None] * workers
     labels_out = np.empty(spec.n_points, dtype=np.int64)
-    final = {}
-    iterations_done = [0] * workers
 
     def body(w, barrier):
-        lo, hi = bounds[w]
+        lo, hi = edges[w], edges[w + 1]
         chunk = data[lo:hi]
         centroids = init.copy()
         iters = 0
@@ -187,11 +174,8 @@ def kmeans_parallel(
 
         with run_handle.span(w, "assign"):
             labels_out[lo:hi] = _assign(chunk, centroids)
-        iterations_done[w] = iters
-        if w == 0:
-            final["centroids"] = centroids
+        return centroids, iters  # bit-identical on every worker
 
-    run_workers(workers, body)
-    run_handle.iterations = iterations_done[0]
+    centroids, run_handle.iterations = run_workers(workers, body)[0]
     record = run_handle.finish()
-    return final["centroids"], labels_out, record
+    return centroids, labels_out, record

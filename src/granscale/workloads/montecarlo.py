@@ -4,15 +4,15 @@ Samples are split over a fixed number of logical RNG shards, each seeded
 from (seed, shard index) via PCG64. Workers process whole shards, so the
 per-shard hit counts (and therefore the estimate) are bit-identical for any
 worker count. Each worker times its whole shard loop as one `sample` span,
-so every worker records exactly one span; the final tally reduction is not
-timed.
+so every worker records exactly one span, and returns its hit count; the
+final tally across workers is not timed.
 
 The sampling loop allocates nothing per shard or per chunk: each worker
 allocates its float and bool scratch buffers once per run, before its
 span, and each chunk is drawn, squared, summed and compared in place.
-Worker threads live for one run, so freed temporaries let glibc trim the
-thread's heap, and the next shard faults those pages back in: page-fault
-time inside the timed `sample` spans, counted as computation.
+Freed temporaries would let glibc trim the heap (a started worker thread's
+heap lives for one run), and the next shard would fault those pages back
+in: page-fault time inside the timed `sample` spans, counted as computation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..measurement import RunHandle, RunRecord
-from ._pool import run_workers
+from ._pool import part_sizes, run_workers
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -42,11 +42,6 @@ class PiSpec:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-
-
-def _shard_sizes(n_samples: int) -> list[int]:
-    base, rem = divmod(n_samples, N_SHARDS)
-    return [base + (1 if s < rem else 0) for s in range(N_SHARDS)]
 
 
 def _scratch(chunk: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,18 +67,17 @@ def monte_carlo_pi(
 ) -> tuple[float, RunRecord]:
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    sizes = _shard_sizes(spec.n_samples)
-    shard_hits = [0] * N_SHARDS
+    sizes = part_sizes(spec.n_samples, N_SHARDS)
     chunk = min(_CHUNK, max(sizes))
 
     def body(w, barrier):
         buf, mask = _scratch(chunk)  # untimed: allocated once, before the span
         with run_handle.span(w, "sample"):
-            for shard in range(w, N_SHARDS, workers):
-                shard_hits[shard] = _sample_shard(spec.seed, shard, sizes[shard], buf, mask)
+            hits = [_sample_shard(spec.seed, shard, sizes[shard], buf, mask)
+                    for shard in range(w, N_SHARDS, workers)]
+        return sum(hits)
 
-    run_workers(workers, body)
-    total_hits = sum(shard_hits)  # tally reduction: untimed
+    total_hits = sum(run_workers(workers, body))  # tally reduction: untimed
     run_handle.iterations = 1
     record = run_handle.finish()
     return 4.0 * total_hits / spec.n_samples, record

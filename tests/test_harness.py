@@ -73,6 +73,15 @@ class TestPlanValidation:
             with pytest.raises(ValueError, match="problem sizes must be positive"):
                 sim_plan(problem_sizes=sizes)
 
+    def test_duplicate_problem_sizes(self):
+        for baseline in (True, False):
+            with pytest.raises(ValueError, match=r"problem sizes must be distinct, got \[4, 4\]"):
+                sim_plan(problem_sizes=(4, 4), measure_serial_baseline=baseline)
+
+    def test_weak_plan_takes_no_problem_sizes(self):
+        with pytest.raises(ValueError, match="a weak plan takes no problem_sizes"):
+            sim_plan(mode="weak", problem_sizes=(100, 200))
+
     def test_unknown_kind(self):
         obj = sim_plan().to_dict()
         obj["workload"]["kind"] = "fft"
@@ -274,6 +283,11 @@ class TestRunPlan:
         pytest.param({**sim_plan().to_dict(), "mode": "weak", "worker_counts": [2, 4],
                       "base_problem_size": 5, "problem_sizes": None},
                      id="weak-base-indivisible"),
+        pytest.param({**sim_plan().to_dict(), "problem_sizes": [4, 4],
+                      "measure_serial_baseline": False}, id="strong-duplicate-sizes"),
+        pytest.param({**sim_plan().to_dict(), "mode": "weak", "worker_counts": [1, 2],
+                      "base_problem_size": 4, "problem_sizes": [100, 200]},
+                     id="weak-with-sizes"),
         pytest.param(None, id="plan-file-missing"),
     ])
     def test_cli_run_rejects_invalid_plan(self, tmp_path, capsys, plan_obj):
@@ -281,8 +295,18 @@ class TestRunPlan:
         if plan_obj is not None:
             plan_file.write_text(json.dumps(plan_obj))
         assert cli.main(["run", "--plan", str(plan_file), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {plan_file}: invalid plan: ")
+        reason = "invalid plan: " if plan_obj is not None else "No such file or directory\n"
+        assert capsys.readouterr().err.startswith(f"error: {plan_file}: {reason}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--records"])
+    def test_cli_run_unwritable_path(self, tmp_path, capsys, flag):
+        plan_file, bad = tmp_path / "plan.json", tmp_path / "no/dir/x.jsonl"
+        plan_file.write_text(json.dumps(sim_plan().to_dict()))
+        # A repeated --out replaces the first one.
+        argv = ["run", "--plan", str(plan_file), "--out", str(tmp_path / "r.jsonl"), flag, str(bad)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {bad}: No such file or directory"
 
     @pytest.mark.parametrize("resume_run", [False, True], ids=["fresh", "resume"])
     def test_bad_records_path_keeps_results(self, tmp_path, resume_run):

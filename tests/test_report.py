@@ -234,6 +234,13 @@ class TestCliReport:
         assert not err.startswith(f"error: {infile}: {infile}")
         assert not out.exists()
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        infile, out = tmp_path / "r.jsonl", tmp_path / "no/such/dir/x.csv"
+        run_plan(ExperimentPlan(workload=SIM, mode="strong", worker_counts=(1, 2),
+                                base_problem_size=4, repetitions=2), out_path=infile)
+        assert cli.main(["report", "--in", str(infile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
 
 class TestFixture:
     def test_checksum_frozen(self):

@@ -1,5 +1,8 @@
 import math
+import threading
+import time
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -17,8 +20,8 @@ from granscale.workloads import (
     monte_carlo_pi,
     synthetic_run,
 )
-from granscale.workloads.kmeans import _partition_bounds
-from granscale.workloads.montecarlo import _CHUNK, _sample_shard, _scratch, _shard_sizes
+from granscale.workloads._pool import part_sizes, run_workers
+from granscale.workloads.montecarlo import _CHUNK, N_SHARDS, _sample_shard, _scratch
 
 PHASES = {"assign", "partial_sums", "update", "sample", "busy"}
 
@@ -99,6 +102,54 @@ class TestKMeansSerial:
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+class TestPool:
+    def test_worker_zero_is_the_calling_thread(self, p):
+        idents = run_workers(p, lambda w, barrier: threading.get_ident())
+        assert idents[0] == threading.get_ident()
+        assert threading.get_ident() not in idents[1:]
+
+    def test_starts_one_thread_per_other_worker(self, p, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        run_workers(p, lambda w, barrier: None)
+        assert started == [f"granscale-worker-{w}" for w in range(1, p)]
+
+    def test_results_in_worker_order(self, p):
+        def body(w, barrier):
+            barrier.wait()
+            return (w, w * w)
+
+        assert run_workers(p, body) == [(w, w * w) for w in range(p)]
+
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    def test_worker_error_reaches_caller(self, p, failing):
+        bad = 0 if failing == "first" else p - 1
+
+        def body(w, barrier):
+            if w != bad:
+                barrier.wait(timeout=30)  # bounds a deadlock; the abort must end it first
+                return
+            deadline = time.monotonic() + 10
+            while barrier.n_waiting < p - 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise KeyError(w)
+
+        t0 = time.monotonic()
+        with pytest.raises(KeyError) as excinfo:
+            run_workers(p, body)
+        assert excinfo.value.args == (bad,)
+        assert time.monotonic() - t0 < 20
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("granscale-worker-")]
+
+
 class TestKMeansParallel:
     def test_single_worker_bit_identical(self):
         for seed in (0, 1, 7, 42, 12345):
@@ -130,7 +181,8 @@ class TestKMeansParallel:
 
     def test_partition_property(self):
         for n, p in [(10, 3), (100, 7), (16, 16), (5, 1)]:
-            bounds = _partition_bounds(n, p)
+            edges = [0, *accumulate(part_sizes(n, p))]
+            bounds = list(zip(edges, edges[1:]))
             sizes = [hi - lo for lo, hi in bounds]
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
@@ -218,7 +270,7 @@ class TestMonteCarloPi:
         # Per-worker float (16 B/sample) and bool (1 B/sample) buffers are
         # the only sizeable allocations; fresh per-chunk temporaries reach
         # about twice this bound.
-        chunk = min(_CHUNK, max(_shard_sizes(n_samples)))
+        chunk = min(_CHUNK, max(part_sizes(n_samples, N_SHARDS)))
         h = begin_run("pi", workers, n_samples, 7)
         tracemalloc.start()
         try:
