@@ -7,6 +7,11 @@ overhead), and then recomputes the new centroids itself from everyone's
 partials (execution replication, timed). Partials are always merged in
 worker order, so every worker holds bit-identical centroids and the
 single-worker run reproduces the serial implementation exactly.
+
+Assignment scores a point against each centroid as |c|^2 - 2 x.c, with one
+matrix product per block of points. Each block is sized so the product runs
+on the calling thread, so a p-worker run keeps p cores busy and no BLAS
+helper thread adds CPU that the compute spans do not show.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..measurement import RunHandle, RunRecord
 from ._pool import part_sizes, run_workers
@@ -26,6 +30,11 @@ _SEED_MASK = (1 << 64) - 1
 # Blob centers sit on a lattice with this spacing; blob noise is unit std,
 # so clusters stay well separated for any k and dimension.
 _CENTER_SPACING = 10.0
+
+# Multiply-adds per scoring product in _assign. OpenBLAS runs a product of
+# at most 2**18 multiply-adds on the calling thread; a larger one wakes its
+# own helper threads, which would spin next to the pool's workers.
+_BLOCK_MULADDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,9 @@ def generate_dataset(spec: KMeansSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed & _SEED_MASK)
     centers = _blob_centers(spec.n_clusters, spec.dims)
     blob_of = np.arange(spec.n_points) % spec.n_clusters
-    return centers[blob_of] + rng.normal(size=(spec.n_points, spec.dims))
+    data = rng.normal(size=(spec.n_points, spec.dims))
+    data += centers[blob_of]
+    return data
 
 
 def _initial_centroids(spec: KMeansSpec, data: np.ndarray) -> np.ndarray:
@@ -74,16 +85,40 @@ def _initial_centroids(spec: KMeansSpec, data: np.ndarray) -> np.ndarray:
     return data[idx].copy()
 
 
+def _block_rows(k: int, dims: int) -> int:
+    return max(1, _BLOCK_MULADDS // (k * dims))
+
+
 def _assign(chunk: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return cdist(chunk, centroids, "sqeuclidean").argmin(axis=1)
+    # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, and |x|^2 is the same for every
+    # centroid, so the argmin of -2 x.c + |c|^2 picks the nearest one.
+    k, dims = centroids.shape
+    # C order: OpenBLAS multiplies by a row-major (dims, k) operand about
+    # twice as fast as by the transposed view of the centroids.
+    weights = np.ascontiguousarray(-2.0 * centroids.T)
+    norms = (centroids ** 2).sum(axis=1)
+    rows = _block_rows(k, dims)
+    labels = np.empty(len(chunk), dtype=np.intp)
+    # One score buffer per call: a fresh one per block would fault its pages
+    # back in on every block, inside the timed span.
+    buffer = np.empty((min(rows, len(chunk)), k))
+    for lo in range(0, len(chunk), rows):
+        block = chunk[lo:lo + rows]
+        scores = buffer[:len(block)]
+        np.matmul(block, weights, out=scores)
+        scores += norms
+        scores.argmin(axis=1, out=labels[lo:lo + rows])
+    return labels
 
 
 def _partials(chunk: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # One bincount over (cluster, dim) cells adds each cell's values in row
+    # order, as a per-column bincount does, so the sums are bit-identical.
+    dims = chunk.shape[1]
     counts = np.bincount(labels, minlength=k).astype(float)
-    sums = np.empty((k, chunk.shape[1]))
-    for j in range(chunk.shape[1]):
-        sums[:, j] = np.bincount(labels, weights=chunk[:, j], minlength=k)
-    return counts, sums
+    cells = (labels[:, None] * dims + np.arange(dims)).ravel()
+    sums = np.bincount(cells, weights=chunk.ravel(), minlength=k * dims)
+    return counts, sums.reshape(k, dims)
 
 
 def _update(sums: np.ndarray, counts: np.ndarray, old: np.ndarray) -> np.ndarray:

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -6,8 +10,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
+import granscale
 from granscale.measurement import aggregate, begin_run
 from granscale.metrics import granularity_metrics
 from granscale.workloads import (
@@ -21,6 +25,7 @@ from granscale.workloads import (
     synthetic_run,
 )
 from granscale.workloads._pool import part_sizes, run_workers
+from granscale.workloads.kmeans import _BLOCK_MULADDS, _assign, _block_rows, _partials
 from granscale.workloads.montecarlo import _CHUNK, N_SHARDS, _sample_shard, _scratch
 
 PHASES = {"assign", "partial_sums", "update", "sample", "busy"}
@@ -29,6 +34,14 @@ PHASES = {"assign", "partial_sums", "update", "sample", "busy"}
 def _run_kmeans(spec, data, workers):
     h = begin_run("kmeans", workers, spec.n_points, spec.seed)
     return kmeans_parallel(spec, data, workers, h)
+
+
+def _sq_distances(points, centroids):
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 class TestDataset:
@@ -41,7 +54,7 @@ class TestDataset:
         data = generate_dataset(spec)
         assert data.shape == (4, 2)
         # One point per blob: pairwise distances reflect the blob separation.
-        assert cdist(data, data).max() > 5.0
+        assert np.sqrt(_sq_distances(data, data)).max() > 5.0
 
     def test_paper_scale_shape_only(self):
         spec = KMeansSpec(n_points=983040, n_clusters=1024, dims=8, seed=42)
@@ -53,6 +66,85 @@ class TestDataset:
             KMeansSpec(n_points=3, n_clusters=4, dims=2)
         with pytest.raises(ValueError):
             KMeansSpec(n_points=4, n_clusters=4, dims=0)
+
+    def test_pinned_bytes(self):
+        spec = KMeansSpec(n_points=1000, n_clusters=4, dims=2, seed=42)
+        assert _sha256(generate_dataset(spec)) == (
+            "a1fe2909112d3d804c2b339af3dcd230d608c61f43cccd66db8f2c2b59609a79")
+
+
+class TestKernels:
+    @staticmethod
+    def _first_nearest(points, centroids):
+        return _sq_distances(points, centroids).argmin(axis=1)
+
+    def test_ties_take_the_lowest_index(self):
+        # Integer coordinates make every score exact, so midpoints tie exactly.
+        centroids = np.array([[2.0, 2.0], [0.0, 2.0], [2.0, 0.0], [0.0, 0.0]])
+        points = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        assert _assign(points, centroids).tolist() == [0, 0, 0, 1, 2]
+
+    def test_ties_on_an_integer_grid(self):
+        rng = np.random.default_rng(3)
+        points = rng.integers(-6, 7, size=(5000, 3)).astype(float)
+        centroids = rng.integers(-6, 7, size=(24, 3)).astype(float)
+        assert np.array_equal(_assign(points, centroids),
+                              self._first_nearest(points, centroids))
+
+    @pytest.mark.parametrize("k, dims", [(16, 8), (5, 3), (1024, 8)])
+    @pytest.mark.parametrize("offset", ["one", "block-1", "block", "block+1", "2block+3"])
+    def test_block_boundaries(self, k, dims, offset):
+        block = _block_rows(k, dims)
+        n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+             "2block+3": 2 * block + 3}[offset]
+        rng = np.random.default_rng(n)
+        points = rng.normal(size=(n, dims))
+        centroids = rng.normal(size=(k, dims))
+        assert np.array_equal(_assign(points, centroids),
+                              self._first_nearest(points, centroids))
+
+    def test_block_budget(self):
+        assert _BLOCK_MULADDS == 1 << 18
+        for k in (1, 2, 5, 16, 40, 1024):
+            for dims in (1, 2, 3, 8, 64):
+                rows = _block_rows(k, dims)
+                assert rows * k * dims <= _BLOCK_MULADDS < (rows + 1) * k * dims
+        assert _block_rows(16, 8) == 2048
+
+    @staticmethod
+    def _partials_per_column(chunk, labels, k):
+        counts = np.bincount(labels, minlength=k).astype(float)
+        sums = np.empty((k, chunk.shape[1]))
+        for j in range(chunk.shape[1]):
+            sums[:, j] = np.bincount(labels, weights=chunk[:, j], minlength=k)
+        return counts, sums
+
+    @pytest.mark.parametrize("n, k, dims", [(1, 3, 2), (5000, 16, 8), (3000, 40, 2), (777, 9, 5)])
+    def test_partials_bit_identical_to_per_column(self, n, k, dims):
+        rng = np.random.default_rng(n)
+        chunk = rng.normal(scale=1e3, size=(n, dims))
+        # Labels below k - 1 leave the last cluster empty.
+        labels = rng.integers(0, k - 1, size=n)
+        counts, sums = _partials(chunk, labels, k)
+        ref_counts, ref_sums = self._partials_per_column(chunk, labels, k)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(sums, ref_sums)
+        assert sums.shape == (k, dims) and counts[-1] == 0
+
+    def test_pinned_centroids_on_bench_shape(self):
+        spec = KMeansSpec(n_points=50_000, n_clusters=16, dims=8, max_iterations=10, seed=1)
+        centroids, _, iterations = kmeans_serial(spec, generate_dataset(spec))
+        assert iterations == 10
+        assert _sha256(centroids) == (
+            "9d7b7b867cc67f08182818dd3e78c1b651cd7250bcee751161ccfdee3db1749f")
+
+
+def test_import_graph_has_no_scipy():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(granscale.__file__))}
+    code = ("import sys, granscale, granscale.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestKMeansSerial:
@@ -89,7 +181,7 @@ class TestKMeansSerial:
         data = generate_dataset(spec)
 
         def objective(centroids):
-            return float(cdist(data, centroids, "sqeuclidean").min(axis=1).sum())
+            return float(_sq_distances(data, centroids).min(axis=1).sum())
 
         # Re-run with growing iteration caps; the Lloyd objective must not rise.
         values = []
