@@ -12,6 +12,10 @@ Assignment scores a point against each centroid as |c|^2 - 2 x.c, with one
 matrix product per block of points. Each block is sized so the product runs
 on the calling thread, so a p-worker run keeps p cores busy and no BLAS
 helper thread adds CPU that the compute spans do not show.
+
+The dataset is column-major: each dimension is one contiguous array, so the
+partial sums take one row-order bincount per dimension over contiguous
+weights. Any other layout gives the same results, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ _CENTER_SPACING = 10.0
 # at most 2**18 multiply-adds on the calling thread; a larger one wakes its
 # own helper threads, which would spin next to the pool's workers.
 _BLOCK_MULADDS = 1 << 18
+
+# Values per block of normal draws in generate_dataset: 4096 rows at d=8, a
+# 256-KB buffer that stays in cache while it is written into the columns.
+_FILL_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -70,13 +78,25 @@ def _blob_centers(k: int, dims: int) -> np.ndarray:
 
 
 def generate_dataset(spec: KMeansSpec) -> np.ndarray:
-    """k well-separated Gaussian blobs; bit-identical for a fixed seed."""
+    """k well-separated Gaussian blobs, column-major; bit-identical for a fixed seed.
+
+    Point i is blob i % k's center plus unit normal noise, drawn row by row.
+    """
     rng = np.random.default_rng(spec.seed & _SEED_MASK)
-    centers = _blob_centers(spec.n_clusters, spec.dims)
-    blob_of = np.arange(spec.n_points) % spec.n_clusters
-    data = rng.normal(size=(spec.n_points, spec.dims))
-    data += centers[blob_of]
-    return data
+    n, k, dims = spec.n_points, spec.n_clusters, spec.dims
+    # Blocks of whole blob cycles all start at blob 0, so one tiled block of
+    # centers serves every block. Consecutive fills continue one stream of
+    # draws (the values of one normal(size=(n, dims)) call), and each block
+    # is written straight into its columns, so the result is the only large
+    # array to fault in: no full-size draws, gathered centers or blob index.
+    rows = min(n, k * max(1, _FILL_VALUES // (k * dims)))
+    centers = np.tile(_blob_centers(k, dims), (-(-rows // k), 1))[:rows]
+    noise = np.empty((rows, dims))
+    columns = np.empty((dims, n))
+    for lo in range(0, n, rows):
+        block = rng.standard_normal(out=noise[:n - lo])
+        np.add(block, centers[:len(block)], out=columns[:, lo:lo + rows].T)
+    return columns.T
 
 
 def _initial_centroids(spec: KMeansSpec, data: np.ndarray) -> np.ndarray:
@@ -112,13 +132,14 @@ def _assign(chunk: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _partials(chunk: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # One bincount over (cluster, dim) cells adds each cell's values in row
-    # order, as a per-column bincount does, so the sums are bit-identical.
-    dims = chunk.shape[1]
+    # One bincount per dimension adds each cluster's values in row order. On
+    # column-major data each column is contiguous, so bincount reads its
+    # weights in place and no (cluster, dim) index is built.
     counts = np.bincount(labels, minlength=k).astype(float)
-    cells = (labels[:, None] * dims + np.arange(dims)).ravel()
-    sums = np.bincount(cells, weights=chunk.ravel(), minlength=k * dims)
-    return counts, sums.reshape(k, dims)
+    sums = np.empty((k, chunk.shape[1]))
+    for j in range(chunk.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=chunk[:, j], minlength=k)
+    return counts, sums
 
 
 def _update(sums: np.ndarray, counts: np.ndarray, old: np.ndarray) -> np.ndarray:

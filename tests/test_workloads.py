@@ -25,7 +25,14 @@ from granscale.workloads import (
     synthetic_run,
 )
 from granscale.workloads._pool import part_sizes, run_workers
-from granscale.workloads.kmeans import _BLOCK_MULADDS, _assign, _block_rows, _partials
+from granscale.workloads.kmeans import (
+    _BLOCK_MULADDS,
+    _FILL_VALUES,
+    _assign,
+    _blob_centers,
+    _block_rows,
+    _partials,
+)
 from granscale.workloads.montecarlo import _CHUNK, N_SHARDS, _sample_shard, _scratch
 
 PHASES = {"assign", "partial_sums", "update", "sample", "busy"}
@@ -72,6 +79,28 @@ class TestDataset:
         assert _sha256(generate_dataset(spec)) == (
             "a1fe2909112d3d804c2b339af3dcd230d608c61f43cccd66db8f2c2b59609a79")
 
+    def test_column_major(self):
+        data = generate_dataset(KMeansSpec(n_points=5000, n_clusters=16, dims=8, seed=1))
+        assert data.flags.f_contiguous and not data.flags.c_contiguous
+
+    @staticmethod
+    def _one_call_reference(spec):
+        rng = np.random.default_rng(spec.seed)
+        centers = _blob_centers(spec.n_clusters, spec.dims)
+        data = rng.normal(size=(spec.n_points, spec.dims))
+        return data + centers[np.arange(spec.n_points) % spec.n_clusters]
+
+    # (1, 4): a single point; (5, 3): k divides neither the block nor most n;
+    # (3000, 16): k larger than the nominal block of _FILL_VALUES // dims rows.
+    @pytest.mark.parametrize("k, dims", [(1, 4), (16, 8), (5, 3), (1024, 8), (3000, 16)])
+    def test_blocked_fill_matches_one_call(self, k, dims):
+        block = k * max(1, _FILL_VALUES // (k * dims))
+        for n in sorted({1, k, block - 1, block, block + 1, 2 * block + 3}):
+            if n < k:
+                continue
+            spec = KMeansSpec(n_points=n, n_clusters=k, dims=dims, seed=n)
+            assert _sha256(generate_dataset(spec)) == _sha256(self._one_call_reference(spec))
+
 
 class TestKernels:
     @staticmethod
@@ -110,6 +139,22 @@ class TestKernels:
                 rows = _block_rows(k, dims)
                 assert rows * k * dims <= _BLOCK_MULADDS < (rows + 1) * k * dims
         assert _block_rows(16, 8) == 2048
+
+    @pytest.mark.parametrize("k, dims", [(16, 8), (5, 3), (1024, 8)])
+    @pytest.mark.parametrize("offset", ["one", "block-1", "block+1", "2block+3"])
+    def test_kernels_ignore_memory_order(self, k, dims, offset):
+        block = _block_rows(k, dims)
+        n = {"one": 1, "block-1": block - 1, "block+1": block + 1,
+             "2block+3": 2 * block + 3}[offset]
+        rng = np.random.default_rng(n)
+        # A row slice of a column-major array, as a worker's chunk is.
+        chunk_f = np.asfortranarray(rng.normal(size=(n + 3, dims)))[2:n + 2]
+        chunk_c = np.ascontiguousarray(chunk_f)
+        centroids = rng.normal(size=(k, dims))
+        labels = _assign(chunk_f, centroids)
+        assert labels.tobytes() == _assign(chunk_c, centroids).tobytes()
+        for f, c in zip(_partials(chunk_f, labels, k), _partials(chunk_c, labels, k)):
+            assert f.tobytes() == c.tobytes()
 
     @staticmethod
     def _partials_per_column(chunk, labels, k):
@@ -251,6 +296,15 @@ class TestKMeansParallel:
             c_p, a_p, _ = _run_kmeans(spec, data, 1)
             assert np.array_equal(c_s, c_p)
             assert np.array_equal(a_s, a_p)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_row_major_input_gives_the_same_result(self, workers):
+        spec = KMeansSpec(n_points=6001, n_clusters=16, dims=8, max_iterations=5, seed=3)
+        data = generate_dataset(spec)
+        c_f, a_f, rec_f = _run_kmeans(spec, data, workers)
+        c_c, a_c, rec_c = _run_kmeans(spec, np.ascontiguousarray(data), workers)
+        assert c_f.tobytes() == c_c.tobytes() and a_f.tobytes() == a_c.tobytes()
+        assert rec_f.iterations == rec_c.iterations
 
     def test_four_workers_close_to_serial(self):
         spec = KMeansSpec(n_points=1000, n_clusters=4, dims=2, max_iterations=10, seed=42)
