@@ -11,7 +11,10 @@ single-worker run reproduces the serial implementation exactly.
 Assignment scores a point against each centroid as |c|^2 - 2 x.c, with one
 matrix product per block of points. Each block is sized so the product runs
 on the calling thread, so a p-worker run keeps p cores busy and no BLAS
-helper thread adds CPU that the compute spans do not show.
+helper thread adds CPU that the compute spans do not show. The score block
+is centroid-major, one column per point: the nearest centroid is a minimum
+down each column, and its first index comes from a second column reduction
+over ranks, so ties go to the lowest index, as with argmin.
 
 The dataset is column-major: each dimension is one contiguous array, so the
 partial sums take one row-order bincount per dimension over contiguous
@@ -35,9 +38,10 @@ _SEED_MASK = (1 << 64) - 1
 # so clusters stay well separated for any k and dimension.
 _CENTER_SPACING = 10.0
 
-# Multiply-adds per scoring product in _assign. OpenBLAS runs a product of
-# at most 2**18 multiply-adds on the calling thread; a larger one wakes its
-# own helper threads, which would spin next to the pool's workers.
+# Multiply-adds per scoring product in _assign, a (k, d) by (d, rows)
+# product. OpenBLAS runs a product of at most 2**18 multiply-adds on the
+# calling thread; a larger one wakes its own helper threads, which would
+# spin next to the pool's workers.
 _BLOCK_MULADDS = 1 << 18
 
 # Values per block of normal draws in generate_dataset: 4096 rows at d=8, a
@@ -111,23 +115,42 @@ def _block_rows(k: int, dims: int) -> int:
 
 def _assign(chunk: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, and |x|^2 is the same for every
-    # centroid, so the argmin of -2 x.c + |c|^2 picks the nearest one.
+    # centroid, so the first minimum of -2 x.c + |c|^2 is the nearest one.
+    # Scores are centroid-major, (k, rows): a point's k scores form a
+    # column, so the add and the selection run as whole-block passes and
+    # column reductions, not one short numpy loop per point.
     k, dims = centroids.shape
-    # C order: OpenBLAS multiplies by a row-major (dims, k) operand about
-    # twice as fast as by the transposed view of the centroids.
-    weights = np.ascontiguousarray(-2.0 * centroids.T)
-    norms = (centroids ** 2).sum(axis=1)
+    weights = -2.0 * centroids
     rows = _block_rows(k, dims)
+    width = min(rows, len(chunk))
+    norms = np.repeat((centroids ** 2).sum(axis=1)[:, None], width, axis=1)
+    # Rank k - j marks centroid j, so the largest rank among a point's
+    # minima is its lowest index, which is argmin's tie rule.
+    ranks = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    # Work buffers once per call: fresh ones per block would fault their
+    # pages back in on every block, inside the timed span.
+    scores = np.empty((k, width))
+    hits = np.empty((k, width), dtype=bool)
+    ranked = np.empty((k, width), dtype=ranks.dtype)
+    best = np.empty(width)
+    top = np.empty(width, dtype=ranks.dtype)
     labels = np.empty(len(chunk), dtype=np.intp)
-    # One score buffer per call: a fresh one per block would fault its pages
-    # back in on every block, inside the timed span.
-    buffer = np.empty((min(rows, len(chunk)), k))
+    # On the column-major dataset chunk.T has contiguous rows, so each block
+    # is a view; a row-major chunk goes to BLAS as a transposed operand.
+    columns = chunk.T
     for lo in range(0, len(chunk), rows):
-        block = chunk[lo:lo + rows]
-        scores = buffer[:len(block)]
-        np.matmul(block, weights, out=scores)
-        scores += norms
-        scores.argmin(axis=1, out=labels[lo:lo + rows])
+        m = min(rows, len(chunk) - lo)
+        block = scores[:, :m]
+        np.matmul(weights, columns[:, lo:lo + m], out=block)
+        block += norms[:, :m]
+        np.minimum.reduce(block, axis=0, out=best[:m])
+        np.equal(block, best[:m], out=hits[:, :m])
+        np.multiply(hits[:, :m], ranks, out=ranked[:, :m])
+        np.maximum.reduce(ranked[:, :m], axis=0, out=top[:m])
+        # A NaN score propagates into the minimum, which then equals nothing.
+        if not top[:m].all():
+            raise ValueError("k-means scores are not finite: NaN or inf in the data or centroids")
+        np.subtract(k, top[:m], out=labels[lo:lo + m])
     return labels
 
 

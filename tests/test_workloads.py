@@ -10,6 +10,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import granscale
 from granscale.measurement import aggregate, begin_run
@@ -31,6 +33,7 @@ from granscale.workloads.kmeans import (
     _assign,
     _blob_centers,
     _block_rows,
+    _initial_centroids,
     _partials,
 )
 from granscale.workloads.montecarlo import _CHUNK, N_SHARDS, _sample_shard, _scratch
@@ -106,6 +109,68 @@ class TestKernels:
     @staticmethod
     def _first_nearest(points, centroids):
         return _sq_distances(points, centroids).argmin(axis=1)
+
+    @staticmethod
+    def _assign_per_row(chunk, centroids):
+        # The row-major kernel: one (rows, k) score block per product, then
+        # an argmin along each row. _assign must give its label bytes.
+        k, dims = centroids.shape
+        weights = np.ascontiguousarray(-2.0 * centroids.T)
+        norms = (centroids ** 2).sum(axis=1)
+        rows = _block_rows(k, dims)
+        labels = np.empty(len(chunk), dtype=np.intp)
+        for lo in range(0, len(chunk), rows):
+            scores = chunk[lo:lo + rows] @ weights
+            scores += norms
+            scores.argmin(axis=1, out=labels[lo:lo + rows])
+        return labels
+
+    # 255 and 256 straddle the switch of the rank dtype from uint8 to
+    # uint16; k=1 has a one-row rank column.
+    @pytest.mark.parametrize("k", [1, 2, 255, 256, 1024])
+    @pytest.mark.parametrize("dims", [1, 3, 8])
+    @pytest.mark.parametrize("offset", ["one", "block-1", "block", "block+1", "2block+3"])
+    def test_labels_match_the_per_row_kernel(self, k, dims, offset):
+        block = _block_rows(k, dims)
+        n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+             "2block+3": 2 * block + 3}[offset]
+        rng = np.random.default_rng(n + k)
+        chunk_f = np.asfortranarray(rng.normal(size=(n, dims)))
+        centroids = rng.normal(size=(k, dims))
+        expected = self._assign_per_row(chunk_f, centroids).tobytes()
+        assert _assign(chunk_f, centroids).tobytes() == expected
+        assert _assign(np.ascontiguousarray(chunk_f), centroids).tobytes() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_ties_match_the_per_row_kernel(self, data):
+        k = data.draw(st.integers(1, 40), label="k")
+        dims = data.draw(st.integers(1, 4), label="dims")
+        n = data.draw(st.integers(1, 200), label="n")
+        # Small integers make every score exact, so equal distances tie exactly.
+        coords = st.integers(-3, 3)
+        points = data.draw(hnp.arrays(np.int8, (n, dims), elements=coords)).astype(float)
+        centroids = data.draw(hnp.arrays(np.int8, (k, dims), elements=coords)).astype(float)
+        if data.draw(st.booleans(), label="column-major"):
+            points = np.asfortranarray(points)
+        labels = _assign(points, centroids)
+        assert labels.tobytes() == self._assign_per_row(points, centroids).tobytes()
+        assert np.array_equal(labels, self._first_nearest(points, centroids))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["data", "centroids"])
+    def test_non_finite_scores_raise(self, value, where):
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(3000, 3))
+        centroids = rng.normal(size=(7, 3))
+        if where == "data":
+            points[2500, 1] = value
+            # A zero weight times inf is NaN.
+            centroids[3, 1] = 0.0
+        else:
+            centroids[4, 0] = value
+        with pytest.raises(ValueError, match="not finite"):
+            _assign(points, centroids)
 
     def test_ties_take_the_lowest_index(self):
         # Integer coordinates make every score exact, so midpoints tie exactly.
@@ -333,6 +398,24 @@ class TestKMeansParallel:
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
             assert bounds[0][0] == 0 and bounds[-1][1] == n
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["data", "centroids"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_non_finite_input_raises(self, value, where, workers):
+        spec = KMeansSpec(n_points=4000, n_clusters=6, dims=3, max_iterations=4, seed=8)
+        data = generate_dataset(spec)
+        seeded = {int(np.flatnonzero((data == c).all(axis=1))[0])
+                  for c in _initial_centroids(spec, data)}
+        # A point that seeds a centroid, or one that does not, in the second
+        # worker's half of the rows.
+        row = next(i for i in range(3000, spec.n_points) if (i in seeded) == (where == "centroids"))
+        data[row, 1] = value
+        with pytest.raises(ValueError, match="not finite"):
+            if workers is None:
+                kmeans_serial(spec, data)
+            else:
+                _run_kmeans(spec, data, workers)
 
     def test_underfilled_partition(self):
         spec = KMeansSpec(n_points=4, n_clusters=2, dims=2, seed=0)
