@@ -44,6 +44,13 @@ _CENTER_SPACING = 10.0
 # spin next to the pool's workers.
 _BLOCK_MULADDS = 1 << 18
 
+# Scores per selection pass in _assign: as many whole product blocks as fit,
+# and at least one (3 blocks, 768 KB, at k=16, d=8). Each numpy call
+# releases the GIL and takes it back, and two workers on two cores wait for
+# each other at the take. A pass makes one matmul call for all its blocks
+# and five more to pick the labels, so stacking blocks cuts the waits.
+_PASS_SCORES = 3 << 15
+
 # Values per block of normal draws in generate_dataset: 4096 rows at d=8, a
 # 256-KB buffer that stays in cache while it is written into the columns.
 _FILL_VALUES = 1 << 15
@@ -116,42 +123,50 @@ def _block_rows(k: int, dims: int) -> int:
 def _assign(chunk: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, and |x|^2 is the same for every
     # centroid, so the first minimum of -2 x.c + |c|^2 is the nearest one.
-    # Scores are centroid-major, (k, rows): a point's k scores form a
-    # column, so the add and the selection run as whole-block passes and
-    # column reductions, not one short numpy loop per point.
+    # Scores are centroid-major, (k, rows) per product block: a point's k
+    # scores form a column, so the add and the selection are whole-block
+    # passes and reductions over the centroid axis, not one short numpy
+    # loop per point.
     k, dims = centroids.shape
+    n = len(chunk)
     weights = -2.0 * centroids
     rows = _block_rows(k, dims)
-    width = min(rows, len(chunk))
-    norms = np.repeat((centroids ** 2).sum(axis=1)[:, None], width, axis=1)
+    # A pass stacks up to `blocks` whole product blocks; the rows after the
+    # last whole block make a pass of their own.
+    blocks = max(1, _PASS_SCORES // (rows * k))
+    full = n - n % rows
+    bounds = sorted({*range(0, full, rows * blocks), full, n})
+    shape = (min(blocks, max(1, n // rows)), k, min(rows, n))
+    norms = np.repeat((centroids ** 2).sum(axis=1)[:, None], shape[2], axis=1)
     # Rank k - j marks centroid j, so the largest rank among a point's
     # minima is its lowest index, which is argmin's tie rule.
     ranks = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-    # Work buffers once per call: fresh ones per block would fault their
-    # pages back in on every block, inside the timed span.
-    scores = np.empty((k, width))
-    hits = np.empty((k, width), dtype=bool)
-    ranked = np.empty((k, width), dtype=ranks.dtype)
-    best = np.empty(width)
-    top = np.empty(width, dtype=ranks.dtype)
-    labels = np.empty(len(chunk), dtype=np.intp)
-    # On the column-major dataset chunk.T has contiguous rows, so each block
-    # is a view; a row-major chunk goes to BLAS as a transposed operand.
+    # Work buffers once per call: fresh ones per pass would fault their
+    # pages back in on every pass, inside the timed span.
+    scores = np.empty(shape)
+    hits = np.empty(shape, dtype=bool)
+    ranked = np.empty(shape, dtype=ranks.dtype)
+    best = np.empty((shape[0], 1, shape[2]))
+    top = np.empty(n, dtype=ranks.dtype)
+    # On the column-major dataset chunk.T has contiguous rows, so the blocks
+    # are views; a row-major chunk goes to BLAS as a transposed operand.
     columns = chunk.T
-    for lo in range(0, len(chunk), rows):
-        m = min(rows, len(chunk) - lo)
-        block = scores[:, :m]
-        np.matmul(weights, columns[:, lo:lo + m], out=block)
-        block += norms[:, :m]
-        np.minimum.reduce(block, axis=0, out=best[:m])
-        np.equal(block, best[:m], out=hits[:, :m])
-        np.multiply(hits[:, :m], ranks, out=ranked[:, :m])
-        np.maximum.reduce(ranked[:, :m], axis=0, out=top[:m])
-        # A NaN score propagates into the minimum, which then equals nothing.
-        if not top[:m].all():
-            raise ValueError("k-means scores are not finite: NaN or inf in the data or centroids")
-        np.subtract(k, top[:m], out=labels[lo:lo + m])
-    return labels
+    for lo, hi in zip(bounds, bounds[1:]):
+        width = min(rows, hi - lo)
+        count = (hi - lo) // width
+        block, hit, rank, low = (a[:count, :, :width] for a in (scores, hits, ranked, best))
+        # One call, one (k, d) by (d, width) BLAS product per block.
+        stack = columns[:, lo:hi].reshape(dims, count, width).transpose(1, 0, 2)
+        np.matmul(weights, stack, out=block)
+        block += norms[:, :width]
+        np.minimum.reduce(block, axis=1, keepdims=True, out=low)
+        np.equal(block, low, out=hit)
+        np.multiply(hit, ranks, out=rank)
+        np.maximum.reduce(rank, axis=1, out=top[lo:hi].reshape(count, width))
+    # A NaN score makes its point's minimum NaN, which equals no score.
+    if not top.all():
+        raise ValueError("k-means scores are not finite: NaN or inf in the data or centroids")
+    return np.subtract(k, top, dtype=np.intp)
 
 
 def _partials(chunk: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -126,14 +126,16 @@ class TestKernels:
         return labels
 
     # 255 and 256 straddle the switch of the rank dtype from uint8 to
-    # uint16; k=1 has a one-row rank column.
+    # uint16; k=1 has a one-row rank column. 4block+1 and 7block cross the
+    # boundaries of passes that stack several blocks.
     @pytest.mark.parametrize("k", [1, 2, 255, 256, 1024])
     @pytest.mark.parametrize("dims", [1, 3, 8])
-    @pytest.mark.parametrize("offset", ["one", "block-1", "block", "block+1", "2block+3"])
+    @pytest.mark.parametrize("offset", ["one", "block-1", "block", "block+1", "2block+3",
+                                        "4block+1", "7block"])
     def test_labels_match_the_per_row_kernel(self, k, dims, offset):
         block = _block_rows(k, dims)
         n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
-             "2block+3": 2 * block + 3}[offset]
+             "2block+3": 2 * block + 3, "4block+1": 4 * block + 1, "7block": 7 * block}[offset]
         rng = np.random.default_rng(n + k)
         chunk_f = np.asfortranarray(rng.normal(size=(n, dims)))
         centroids = rng.normal(size=(k, dims))
