@@ -14,7 +14,9 @@ on the calling thread, so a p-worker run keeps p cores busy and no BLAS
 helper thread adds CPU that the compute spans do not show. The score block
 is centroid-major, one column per point: the nearest centroid is a minimum
 down each column, and its first index comes from a second column reduction
-over ranks, so ties go to the lowest index, as with argmin.
+over ranks, so ties go to the lowest index, as with argmin. Each selection
+pass stacks several product blocks, so a worker makes few numpy calls, and
+few GIL hand-offs, per point.
 
 The dataset is column-major: each dimension is one contiguous array, so the
 partial sums take one row-order bincount per dimension over contiguous
