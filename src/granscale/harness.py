@@ -12,6 +12,13 @@ lines stay, every byte after them goes.
 The serial baseline of a problem size is its p=1 cell: the same parallel
 code at one worker under the identical protocol. With measure_serial_baseline
 set, every size gets one, persisted and resumed like any other cell.
+
+A k-means cell builds its problem instance (the dataset, and through its
+seed the initial centroids) once, before its warm-up, from (plan seed, size)
+alone, and frees it when the cell ends. So every run of a size, at every
+worker count, solves the same instance and repeated runs differ only in
+timing. pi and synthetic runs each take their own seed, from (plan seed,
+workers, size, repetition).
 """
 
 from __future__ import annotations
@@ -52,7 +59,10 @@ WorkloadSpec = Union[KMeansSpec, PiSpec, SyntheticSpec]
 
 class _Workload(NamedTuple):
     kind: str
-    run: Callable[[WorkloadSpec, int, int, int], RunRecord]  # (spec, workers, size, seed)
+    # cell(spec, workers, size, plan seed) runs once per cell, before its
+    # warm-up: it builds what the cell's runs share and returns run(), which
+    # makes one run and returns its record.
+    cell: Callable[[WorkloadSpec, int, int, int], Callable[[], RunRecord]]
 
 
 # The runners look the kernels up as module globals at call time, so
@@ -61,10 +71,22 @@ def _open_run(spec: WorkloadSpec, workers: int, size: int, seed: int) -> RunHand
     return begin_run(_WORKLOADS[type(spec)].kind, workers, size, seed)
 
 
-def _run_kmeans(wl: KMeansSpec, workers: int, size: int, seed: int) -> RunRecord:
-    spec = replace(wl, n_points=size, seed=seed)
-    data = generate_dataset(spec)  # untimed: built before the run opens
-    return kmeans_parallel(spec, data, workers, _open_run(spec, workers, size, seed))[2]
+def _kmeans_cell(wl: KMeansSpec, workers: int, size: int, plan_seed: int):
+    # One problem instance per cell: the dataset, and through the seed the
+    # initial centroids. Every run of the cell, warm-up and refills
+    # included, solves it, and so does every other cell of the size.
+    spec = replace(wl, n_points=size, seed=_instance_seed(plan_seed, size))
+    data = generate_dataset(spec)  # untimed: built before the warm-up opens
+    return lambda: kmeans_parallel(spec, data, workers,
+                                   _open_run(spec, workers, size, spec.seed))[2]
+
+
+def _seeded_per_run(run: Callable[[WorkloadSpec, int, int, int], RunRecord]):
+    """A cell that shares nothing between runs: each run gets its own seed."""
+    def cell(wl: WorkloadSpec, workers: int, size: int, plan_seed: int):
+        reps = itertools.count()  # one seed per repetition; 0 is the warm-up
+        return lambda: run(wl, workers, size, _run_seed(plan_seed, workers, size, next(reps)))
+    return cell
 
 
 def _run_pi(wl: PiSpec, workers: int, size: int, seed: int) -> RunRecord:
@@ -79,9 +101,9 @@ def _run_synthetic(wl: SyntheticSpec, workers: int, size: int, seed: int) -> Run
 
 
 _WORKLOADS = {
-    KMeansSpec: _Workload("kmeans", _run_kmeans),
-    PiSpec: _Workload("pi", _run_pi),
-    SyntheticSpec: _Workload("synthetic", _run_synthetic),
+    KMeansSpec: _Workload("kmeans", _kmeans_cell),
+    PiSpec: _Workload("pi", _seeded_per_run(_run_pi)),
+    SyntheticSpec: _Workload("synthetic", _seeded_per_run(_run_synthetic)),
 }
 
 
@@ -235,6 +257,17 @@ def _run_seed(plan_seed: int, workers: int, size: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _instance_seed(plan_seed: int, size: int) -> int:
+    """Seed of a size's k-means instance, shared by all its cells and runs.
+
+    The size is the spawn key of a child of the plan seed's sequence, numpy's
+    way to derive an independent stream. _run_seed's sequences take no spawn
+    key, so no run seed and no instance seed come from the same sequence.
+    """
+    ss = np.random.SeedSequence(plan_seed & ((1 << 64) - 1), spawn_key=(size,))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 def _measure_cell(
     plan: ExperimentPlan, workers: int, size: int, t1: Optional[float]
 ) -> tuple[CellResult, list[RunRecord]]:
@@ -244,13 +277,9 @@ def _measure_cell(
     """
     if plan.measure_serial_baseline and workers > 1 and t1 is None:
         raise ValueError(f"no serial baseline for problem size {size}")
-    workload = _WORKLOADS[type(plan.workload)]
-    reps = itertools.count()  # one seed per repetition; 0 is the warm-up
-
-    def run() -> RunRecord:
-        seed = _run_seed(plan.seed, workers, size, next(reps))
-        return workload.run(plan.workload, workers, size, seed)
-
+    # What the runs share (a k-means instance) lives as long as run(): this
+    # frame, so a cell's instance is gone before the next cell builds its own.
+    run = _WORKLOADS[type(plan.workload)].cell(plan.workload, workers, size, plan.seed)
     run()  # warm-up
     records = [run() for _ in range(plan.repetitions)]
 
@@ -356,9 +385,10 @@ def run_plan(
     (workers, size), so a baseline precedes the cells that use it.
 
     With resume=True, cells already present in out_path are skipped; seeds
-    are derived per (cell, repetition), so a resumed sweep of a
-    deterministic workload equals an uninterrupted one. A results file left
-    empty by a crash during its header's write starts afresh.
+    are derived from the plan seed per (cell, repetition), or per size for a
+    k-means instance, so a resumed sweep of a deterministic workload equals
+    an uninterrupted one. A results file left empty by a crash during its
+    header's write starts afresh.
 
     records_path receives one JSON line per kept run, cell by cell. A fresh
     sweep rewrites it; a resumed one keeps the runs of the cells taken from

@@ -122,7 +122,7 @@ def _block_rows(k: int, dims: int) -> int:
     return max(1, _BLOCK_MULADDS // (k * dims))
 
 
-def _assign(chunk: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _assign(chunk: np.ndarray, centroids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, and |x|^2 is the same for every
     # centroid, so the first minimum of -2 x.c + |c|^2 is the nearest one.
     # Scores are centroid-major, (k, rows) per product block: a point's k
@@ -153,22 +153,27 @@ def _assign(chunk: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # On the column-major dataset chunk.T has contiguous rows, so the blocks
     # are views; a row-major chunk goes to BLAS as a transposed operand.
     columns = chunk.T
-    for lo, hi in zip(bounds, bounds[1:]):
-        width = min(rows, hi - lo)
-        count = (hi - lo) // width
-        block, hit, rank, low = (a[:count, :, :width] for a in (scores, hits, ranked, best))
-        # One call, one (k, d) by (d, width) BLAS product per block.
-        stack = columns[:, lo:hi].reshape(dims, count, width).transpose(1, 0, 2)
-        np.matmul(weights, stack, out=block)
-        block += norms[:, :width]
-        np.minimum.reduce(block, axis=1, keepdims=True, out=low)
-        np.equal(block, low, out=hit)
-        np.multiply(hit, ranks, out=rank)
-        np.maximum.reduce(rank, axis=1, out=top[lo:hi].reshape(count, width))
+    # Non-finite input is reported by the ValueError below, not by numpy's
+    # invalid-value warnings on the way to it.
+    with np.errstate(invalid="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):
+            width = min(rows, hi - lo)
+            count = (hi - lo) // width
+            block, hit, rank, low = (a[:count, :, :width] for a in (scores, hits, ranked, best))
+            # One call, one (k, d) by (d, width) BLAS product per block.
+            stack = columns[:, lo:hi].reshape(dims, count, width).transpose(1, 0, 2)
+            np.matmul(weights, stack, out=block)
+            block += norms[:, :width]
+            np.minimum.reduce(block, axis=1, keepdims=True, out=low)
+            np.equal(block, low, out=hit)
+            np.multiply(hit, ranks, out=rank)
+            np.maximum.reduce(rank, axis=1, out=top[lo:hi].reshape(count, width))
     # A NaN score makes its point's minimum NaN, which equals no score.
     if not top.all():
         raise ValueError("k-means scores are not finite: NaN or inf in the data or centroids")
-    return np.subtract(k, top, dtype=np.intp)
+    # The labels go to `out` when given: a caller that assigns every
+    # iteration reuses one buffer instead of faulting in a fresh one.
+    return np.subtract(k, top, dtype=np.intp, out=out)
 
 
 def _partials(chunk: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,11 +244,12 @@ def kmeans_parallel(
     def body(w, barrier):
         lo, hi = edges[w], edges[w + 1]
         chunk = data[lo:hi]
+        labels = np.empty(hi - lo, dtype=np.intp)
         centroids = init.copy()
         iters = 0
         for _ in range(spec.max_iterations):
             with run_handle.span(w, "assign"):
-                labels = _assign(chunk, centroids)
+                _assign(chunk, centroids, out=labels)
             with run_handle.span(w, "partial_sums"):
                 counts, sums = _partials(chunk, labels, k)
 
@@ -269,7 +275,7 @@ def kmeans_parallel(
                 break
 
         with run_handle.span(w, "assign"):
-            labels_out[lo:hi] = _assign(chunk, centroids)
+            _assign(chunk, centroids, out=labels_out[lo:hi])
         return centroids, iters  # bit-identical on every worker
 
     centroids, run_handle.iterations = run_workers(workers, body)[0]

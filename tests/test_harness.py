@@ -4,6 +4,7 @@ import itertools
 import json
 import logging
 import os
+import weakref
 
 import pytest
 
@@ -557,6 +558,107 @@ class TestResume:
             resume(torn)
         assert torn.read_bytes() == full
         assert "torn final line" in caplog.text
+
+
+def kmeans_plan(**overrides):
+    kwargs = dict(
+        workload=KMeansSpec(n_points=2000, n_clusters=4, dims=2, max_iterations=8,
+                            convergence_epsilon=1e-3, seed=11),
+        worker_counts=(1, 2), problem_sizes=(1500, 2000), base_problem_size=2000,
+    )
+    kwargs.update(overrides)
+    return sim_plan(**kwargs)
+
+
+def read_runs(path):
+    return [RunRecord.from_json(line) for line in path.read_text().splitlines()]
+
+
+class TestKMeansInstance:
+    """A k-means cell builds one problem instance, seeded by (plan seed, size)."""
+
+    @staticmethod
+    def _watch_datasets(monkeypatch):
+        """Wrap harness.generate_dataset; return weakrefs to each dataset's memory.
+
+        Each call also checks that the datasets built before it are gone.
+        """
+        real = harness.generate_dataset
+        owners = []
+
+        def watched(spec):
+            assert all(ref() is None for ref in owners), "a second dataset is alive"
+            data = real(spec)
+            owners.append(weakref.ref(data if data.base is None else data.base))
+            return data
+
+        monkeypatch.setattr(harness, "generate_dataset", watched)
+        return owners
+
+    def test_one_dataset_per_cell_refills_included(self, monkeypatch):
+        # Warm-up, five runs, one rejected and refilled, in each of two cells.
+        walls = iter(([0.006] * 5 + [0.06, 0.006]) * 2)
+        real = harness.kmeans_parallel
+
+        def slow(spec, data, workers, handle):
+            centroids, labels, rec = real(spec, data, workers, handle)
+            return centroids, labels, dataclasses.replace(rec, wall_clock=next(walls))
+
+        monkeypatch.setattr(harness, "kmeans_parallel", slow)
+        owners = self._watch_datasets(monkeypatch)
+        plan = kmeans_plan(problem_sizes=(2000,), repetitions=5)
+        cells = run_plan(plan).cells
+        assert [(c.workers, c.kept, c.rejected) for c in cells] == [(1, 5, 1), (2, 5, 1)]
+        assert next(walls, None) is None
+        assert len(owners) == 2
+
+    def test_datasets_freed_when_run_plan_returns(self, monkeypatch):
+        owners = self._watch_datasets(monkeypatch)
+        run_plan(kmeans_plan())
+        assert len(owners) == 4
+        assert all(ref() is None for ref in owners)
+
+    def test_records_of_a_size_share_one_seed(self, tmp_path):
+        plan, records = kmeans_plan(), tmp_path / "runs.jsonl"
+        run_plan(plan, records_path=records)
+        runs = read_runs(records)
+        by_size = {}
+        for r in runs:
+            by_size.setdefault(r.problem_size, set()).add((r.workers, r.seed))
+        assert set(by_size) == {1500, 2000}
+        for size, seen in by_size.items():
+            seed = harness._instance_seed(plan.seed, size)
+            assert seen == {(1, seed), (2, seed)}
+            assert seed not in {harness._run_seed(plan.seed, w, size, rep)
+                                for w in (1, 2) for rep in range(10)}
+        assert harness._instance_seed(plan.seed, 1500) != harness._instance_seed(plan.seed, 2000)
+
+    def test_resume_after_first_cell_solves_the_same_instances(self, tmp_path):
+        plan = kmeans_plan()
+        out, records = tmp_path / "r.jsonl", tmp_path / "runs.jsonl"
+        run_plan(plan, out_path=out, records_path=records)
+
+        def cells_run():
+            # Outlier refills may change how many runs a cell keeps, not what they solve.
+            return list(dict.fromkeys((r.workers, r.problem_size, r.seed, r.iterations)
+                                      for r in read_runs(records)))
+
+        full = cells_run()
+        assert len(full) == 4
+        assert len({iterations for *_, iterations in full}) > 1  # the instance shows
+        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:2]))
+        run_plan(plan, out_path=out, resume=True, records_path=records)
+        assert cells_run() == full
+
+    def test_pi_runs_keep_their_own_seeds(self, tmp_path):
+        plan = sim_plan(workload=PiSpec(n_samples=1000, seed=1), problem_sizes=(1000,),
+                        base_problem_size=1000, repetitions=4)
+        records = tmp_path / "runs.jsonl"
+        cells = run_plan(plan, records_path=records).cells
+        runs = read_runs(records)
+        assert len({r.seed for r in runs}) == len(runs) == sum(c.kept for c in cells)
+        first = runs[0]
+        assert first.seed != harness._instance_seed(plan.seed, first.problem_size)
 
 
 class TestCellResult:

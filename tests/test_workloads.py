@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -173,6 +174,29 @@ class TestKernels:
             centroids[4, 0] = value
         with pytest.raises(ValueError, match="not finite"):
             _assign(points, centroids)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_without_warnings(self, value):
+        rng = np.random.default_rng(6)
+        points = rng.normal(size=(3000, 3))
+        centroids = rng.normal(size=(7, 3))
+        points[2500, 1] = value
+        centroids[3, 1] = 0.0
+        spec = KMeansSpec(n_points=3000, n_clusters=7, dims=3, max_iterations=2, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                _assign(points, centroids)
+            with pytest.raises(ValueError, match="not finite"):
+                _run_kmeans(spec, points, 2)
+
+    def test_labels_written_to_out(self):
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(5000, 8))
+        centroids = rng.normal(size=(16, 8))
+        out = np.full(len(points), -1, dtype=np.intp)
+        assert _assign(points, centroids, out=out) is out
+        assert out.tobytes() == _assign(points, centroids).tobytes()
 
     def test_ties_take_the_lowest_index(self):
         # Integer coordinates make every score exact, so midpoints tie exactly.
