@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import __version__, stats
-from .measurement import RunHandle, RunRecord, aggregate, begin_run
+from .measurement import SEED_MASK, RunHandle, RunRecord, aggregate, begin_run
 from .metrics import GranularityMetrics, TimingBreakdown, granularity_metrics, relative_error
 from .workloads import (
     KMeansSpec,
@@ -253,7 +253,7 @@ class ResultSet:
 
 
 def _run_seed(plan_seed: int, workers: int, size: int, rep: int) -> int:
-    ss = np.random.SeedSequence([plan_seed & ((1 << 64) - 1), workers, size, rep])
+    ss = np.random.SeedSequence([plan_seed & SEED_MASK, workers, size, rep])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -264,7 +264,7 @@ def _instance_seed(plan_seed: int, size: int) -> int:
     way to derive an independent stream. _run_seed's sequences take no spawn
     key, so no run seed and no instance seed come from the same sequence.
     """
-    ss = np.random.SeedSequence(plan_seed & ((1 << 64) - 1), spawn_key=(size,))
+    ss = np.random.SeedSequence(plan_seed & SEED_MASK, spawn_key=(size,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -23,6 +23,10 @@ from .metrics import TimingBreakdown
 
 INCOMPLETE_COVERAGE = "incomplete worker coverage"
 
+#: Seeds are reduced to their low 64 bits before they seed numpy, which takes
+#: only non-negative seeds; so any int, negative ones included, is a seed.
+SEED_MASK = (1 << 64) - 1
+
 
 @dataclass(frozen=True)
 class Span:

@@ -31,10 +31,8 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from ..measurement import RunHandle, RunRecord
+from ..measurement import SEED_MASK, RunHandle, RunRecord
 from ._pool import part_sizes, run_workers
-
-_SEED_MASK = (1 << 64) - 1
 
 # Blob centers sit on a lattice with this spacing; blob noise is unit std,
 # so clusters stay well separated for any k and dimension.
@@ -95,7 +93,7 @@ def generate_dataset(spec: KMeansSpec) -> np.ndarray:
 
     Point i is blob i % k's center plus unit normal noise, drawn row by row.
     """
-    rng = np.random.default_rng(spec.seed & _SEED_MASK)
+    rng = np.random.default_rng(spec.seed & SEED_MASK)
     n, k, dims = spec.n_points, spec.n_clusters, spec.dims
     # Blocks of whole blob cycles all start at blob 0, so one tiled block of
     # centers serves every block. Consecutive fills continue one stream of
@@ -113,7 +111,7 @@ def generate_dataset(spec: KMeansSpec) -> np.ndarray:
 
 
 def _initial_centroids(spec: KMeansSpec, data: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed & _SEED_MASK)
+    rng = np.random.default_rng(spec.seed & SEED_MASK)
     idx = rng.choice(spec.n_points, size=spec.n_clusters, replace=False)
     return data[idx].copy()
 

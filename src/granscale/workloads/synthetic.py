@@ -9,12 +9,15 @@ Python spin holds the GIL and would serialize the workers, destroying the
 analytic construction the workload exists to provide. Sleeping workers
 overlap freely, so the ratio holds even on a single core.
 
-Phases end on a fixed schedule rather than after fixed sleeps: iteration k
-computes until origin + k*period + compute_ms, then meets the barrier and
-sleeps out the period. Barrier latency is thus spent inside exchange_ms,
-and a late wake-up moves time between the two phases of one iteration
-instead of lengthening the run, where each millisecond would add p
-milliseconds of overhead.
+Each phase keeps its own running total on schedule rather than sleeping a
+fixed time: a worker's k-th busy phase lasts until its busy time reaches
+k*compute_ms, and its k-th exchange phase, which opens with the barrier,
+until its exchange time reaches k*exchange_ms. Barrier latency is thus
+spent inside exchange_ms, and a late wake-up, which lengthens the phase it
+ends, is taken off the next phase of the same kind. A schedule fixed from
+one origin instead moves a late wake-up into the other phase, so a stall of
+the whole process at a phase boundary shifts its full length between
+computation and overhead.
 
 With simulate=True no threads run at all; spans and wall clock are the
 exact nominal durations. That mode is the fully deterministic variant used
@@ -59,16 +62,19 @@ def synthetic_run(spec: SyntheticSpec, workers: int, run_handle: RunHandle) -> R
             wall_clock=spec.iterations * (compute_s + exchange_s)
         )
 
-    period_s = compute_s + exchange_s
-    origin = time.perf_counter()
-
     def body(w, barrier):
-        for k in range(spec.iterations):
-            with run_handle.span(w, "busy"):
-                _sleep_until(origin + k * period_s + compute_s)
+        busy = exchange = 0.0  # this worker's time in each phase so far
+        start = time.perf_counter()
+        for k in range(1, spec.iterations + 1):
+            _sleep_until(start + k * compute_s - busy)
+            end = time.perf_counter()
+            run_handle.record_span(w, end - start, "busy")
+            busy += end - start
             # exchange section: untimed, lands in overhead
             barrier.wait()
-            _sleep_until(origin + (k + 1) * period_s)
+            _sleep_until(end + k * exchange_s - exchange)
+            start = time.perf_counter()
+            exchange += start - end
 
     run_workers(workers, body)
     run_handle.iterations = spec.iterations

@@ -44,7 +44,7 @@ NEEDS_CORES = 4
 HAVE_CORES = (os.cpu_count() or 1) >= NEEDS_CORES
 skip_few_cores = pytest.mark.skipif(
     not HAVE_CORES,
-    reason=f"criterion requires a machine with >= {NEEDS_CORES} physical cores; "
+    reason=f"criterion requires a machine with >= {NEEDS_CORES} logical CPUs; "
     f"host reports {os.cpu_count()}",
 )
 
