@@ -9,15 +9,23 @@ Workers time a compute region with `RunHandle.span`, which reads the clock
 around the block and records the span once the block completes. Span
 submission appends to a per-worker buffer, so recording never blocks
 another worker and happens outside the timed region.
+
+A span is an immutable `(worker_id, duration, phase_label)` tuple. A
+negative, NaN or infinite duration is refused where a span is made: by
+`Span(...)`, by `record_span` and, for every span of a record read back, by
+`RunRecord.from_json`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import repeat
+from operator import attrgetter, itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 from .metrics import TimingBreakdown
 
@@ -28,17 +36,42 @@ INCOMPLETE_COVERAGE = "incomplete worker coverage"
 SEED_MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class Span:
-    """One timed compute region on one worker."""
-
+class _SpanFields(NamedTuple):
     worker_id: int
     duration: float
     phase_label: str
 
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"span duration must be >= 0, got {self.duration}")
+
+class Span(_SpanFields):
+    """One timed compute region on one worker."""
+
+    __slots__ = ()
+
+    def __new__(cls, worker_id: int, duration: float, phase_label: str) -> "Span":
+        if not 0 <= duration < math.inf:
+            raise ValueError(f"span duration must be finite and >= 0, got {duration}")
+        return tuple.__new__(cls, (worker_id, duration, phase_label))
+
+    @classmethod
+    def _make(cls, iterable) -> "Span":
+        # namedtuple's own _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
+
+
+_DURATION = attrgetter("duration")
+_WORKER_ID = attrgetter("worker_id")
+#: A records-file span's keys, in Span's field order.
+_SPAN_KEYS = itemgetter("worker", "duration_s", "phase")
+
+
+def _check_durations(spans: tuple[Span, ...]) -> None:
+    """Refuse spans holding a negative, NaN or infinite duration anywhere."""
+    durations = list(map(_DURATION, spans))
+    # min() alone misses a NaN after the first element (min([1.0, nan]) is
+    # 1.0), but the sum carries any NaN or inf to its end.
+    if not (min(durations, default=0.0) >= 0 and sum(durations) < math.inf):
+        bad = [d for d in durations if not 0 <= d < math.inf] or durations
+        raise ValueError(f"span durations must be finite and >= 0, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +89,7 @@ class RunRecord:
     @property
     def flags(self) -> tuple[str, ...]:
         """Derived from the spans, so they survive any serialisation."""
-        if len({s.worker_id for s in self.spans}) < self.workers:
+        if len(set(map(_WORKER_ID, self.spans))) < self.workers:
             return (INCOMPLETE_COVERAGE,)
         return ()
 
@@ -80,9 +113,9 @@ class RunRecord:
     def from_json(cls, text: str) -> "RunRecord":
         """Inverse of to_json; unknown keys (older records' id and start time) are ignored."""
         obj = json.loads(text)
-        spans = tuple(
-            Span(s["worker"], s["duration_s"], s["phase"]) for s in obj["spans"]
-        )
+        # Spans are built with no Python call each, then checked once per record.
+        spans = tuple(map(tuple.__new__, repeat(Span), map(_SPAN_KEYS, obj["spans"])))
+        _check_durations(spans)
         return cls(
             workload_id=obj["workload_id"],
             workers=obj["workers"],
@@ -162,7 +195,8 @@ def begin_run(workload_id: str, workers: int, problem_size: int, seed: int) -> R
 
 def aggregate(record: RunRecord) -> TimingBreakdown:
     """Collapse a run record into (workers, wall_clock, total computation time)."""
-    total_comp = sum(s.duration for s in record.spans)
+    # The same left-to-right sum as a loop over the spans, bit for bit.
+    total_comp = sum(map(_DURATION, record.spans))
     return TimingBreakdown(
         workers=record.workers,
         wall_clock=record.wall_clock,

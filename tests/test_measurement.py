@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 import time
 
@@ -28,6 +29,38 @@ class TestBeginRun:
             begin_run("synthetic", 0, 10, 1)
 
 
+BAD_DURATIONS = [-0.001, math.nan, math.inf, -math.inf]
+
+
+class TestSpan:
+    def test_positional_fields(self):
+        span = Span(1, 0.25, "assign")
+        assert (span.worker_id, span.duration, span.phase_label) == (1, 0.25, "assign")
+        assert tuple(span) == (1, 0.25, "assign")
+        assert Span._fields == ("worker_id", "duration", "phase_label")
+        assert Span(worker_id=1, duration=0.25, phase_label="assign") == span
+
+    def test_immutable(self):
+        span = Span(0, 0.5, "update")
+        with pytest.raises(AttributeError):
+            span.duration = 1.0
+        with pytest.raises(AttributeError):
+            span.cpu_s = 1.0
+
+    def test_equal_spans_hash_equal(self):
+        a, b = Span(0, 0.5, "update"), Span(0, 0.5, "update")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Span(1, 0.5, "update")}) == 2
+        assert a != Span(0, 0.5, "assign")
+
+    @pytest.mark.parametrize("duration", BAD_DURATIONS)
+    def test_negative_or_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError):
+            Span(0, duration, "assign")
+        with pytest.raises(ValueError):
+            Span(0, 0.5, "assign")._replace(duration=duration)
+
+
 class TestRecordSpan:
     def test_appends(self):
         h = begin_run("w", 4, 10, 0)
@@ -48,6 +81,13 @@ class TestRecordSpan:
         h = begin_run("w", 1, 10, 0)
         with pytest.raises(ValueError):
             h.record_span(0, -0.001, "assign")
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        h = begin_run("w", 1, 10, 0)
+        with pytest.raises(ValueError):
+            h.record_span(0, duration, "assign")
+        assert h.finish().spans == ()
 
     def test_finished_handle_rejects(self):
         h = begin_run("w", 1, 10, 0)
@@ -142,6 +182,21 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(rec)
 
+    def test_total_is_the_left_to_right_sum(self):
+        # 1 + 1e16 rounds away the 1, so the order of the additions shows.
+        durations = [1.0, 1e16, 1.0, 1.0, 3.0]
+        h = begin_run("w", 2, 10, 0)
+        for i, d in enumerate(durations):
+            h.record_span(i % 2, d, "a")
+        rec = h.finish(wall_clock=1e16)
+        left_to_right = 0.0
+        for span in rec.spans:
+            left_to_right += span.duration
+        assert left_to_right != math.fsum(durations)
+        total = aggregate(rec).total_comp
+        assert total.hex() == left_to_right.hex()
+        assert aggregate(RunRecord.from_json(rec.to_json())).total_comp.hex() == total.hex()
+
     def test_order_independent(self):
         def build(order):
             h = begin_run("w", 3, 10, 0)
@@ -196,6 +251,25 @@ class TestSerialization:
         rec = h.finish(wall_clock=1.0)
         back = RunRecord.from_json(rec.to_json())
         assert back == rec
+        assert all(type(s) is Span for s in back.spans)
+        assert back.to_json() == rec.to_json()
+
+    def test_no_spans_round_trip(self):
+        rec = begin_run("w", 2, 10, 0).finish(wall_clock=1.0)
+        back = RunRecord.from_json(rec.to_json())
+        assert back == rec and back.spans == ()
+        assert aggregate(back).total_comp == 0
+
+    @pytest.mark.parametrize("duration", BAD_DURATIONS)
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_negative_or_non_finite_duration_rejected(self, duration, position):
+        durations = [0.25, 0.5, 0.125]
+        durations[position] = duration
+        obj = {"workload_id": "w", "workers": 1, "problem_size": 10, "seed": 0,
+               "wall_clock_s": 1.0, "iterations": 3,
+               "spans": [{"worker": 0, "duration_s": d, "phase": "a"} for d in durations]}
+        with pytest.raises(ValueError):
+            RunRecord.from_json(json.dumps(obj))
 
     def test_json_schema_fields(self):
         h = begin_run("pi", 1, 100, 7)
