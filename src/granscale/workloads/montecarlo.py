@@ -15,6 +15,12 @@ not depend on how a shard is cut into chunks. Integer coordinates count the
 lattice points under the arc, which biases the estimate by about
 4/2³² ≈ 9·10⁻¹⁰, far below its sampling error of about 1/√N.
 
+A chunk of `_CHUNK` samples takes eight numpy calls (`random_raw`, shift,
+two multiplies, and, add, compare, count). Each releases the GIL and must
+take it back, and a worker waiting for it is inside its `sample` span, so
+that wait counts as computation. A p=2 worker of an 8M run makes 1,024 of
+these calls: 32 shards of four 2¹⁵-sample chunks.
+
 The sampling loop allocates one array per chunk, the words `random_raw`
 returns; each worker allocates its other scratch once per run, before its
 span, and squares, sums and compares in place. Larger temporaries, freed
@@ -35,13 +41,14 @@ from ._pool import part_sizes, run_workers
 #: Logical RNG shards, independent of worker count.
 N_SHARDS = 64
 
-#: Samples drawn per numpy call. Each call can hand the GIL to the other
-#: worker, so smaller chunks slow a two-worker run (2¹³: 1.4× its wall). Each
-#: call also returns a fresh array; large enough, its pages go back to the
-#: kernel when it is freed and fault in again on the next call. Minor faults
-#: per pi-weak sweep read 11–15 at 2¹⁴, 8k–11k at 2¹⁶, and at 2¹⁵ 11–16 in
-#: one trial but 5.6k in another.
-_CHUNK = 1 << 14
+#: Samples drawn per numpy call. Each of a chunk's eight calls can hand the
+#: GIL to the other worker, so smaller chunks slow a two-worker run: pi-weak's
+#: p=2 run took 1.24× the wall time at 2¹⁴ as at 2¹⁵, and 1.4× at 2¹³ as at
+#: 2¹⁴. Each chunk also gets a fresh array from `random_raw`; large enough,
+#: its pages go back to the kernel when it is freed and fault in again on
+#: the next call. Minor faults per pi-weak sweep read 11–16 at 2¹⁴, 11–16
+#: at 2¹⁵ in 23 of 24 sweeps (149 in one), and 7.8k–10.2k at 2¹⁶.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from granscale.workloads import (
     monte_carlo_pi,
     synthetic_run,
 )
+from granscale.workloads import montecarlo
 from granscale.workloads._pool import part_sizes, run_workers
 from granscale.workloads.kmeans import (
     _BLOCK_MULADDS,
@@ -502,9 +503,10 @@ class TestMonteCarloPi:
         return sum((v >> 32) ** 2 + (v & 0xFFFFFFFF) ** 2 < 2**64
                    for v in bitgen.random_raw(m).tolist())
 
-    # Chunk boundaries, and shards of about a million samples: many chunks
-    # with a ragged last one.
+    # Chunk boundaries, those of the earlier 2¹⁴-sample chunk, and shards of
+    # about a million samples: many chunks with a ragged last one.
     @pytest.mark.parametrize("m", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3,
+                                   16_383, 16_384, 16_385, 32_771,
                                    999_999, 1_000_000, 1_000_001])
     @pytest.mark.parametrize("seed", [0, 7, -3, (1 << 64) - 1])
     def test_sample_shard_matches_reference(self, m, seed):
@@ -513,6 +515,19 @@ class TestMonteCarloPi:
         # shard shares with the largest one.
         for chunk in {min(_CHUNK, m), _CHUNK}:
             assert _sample_shard(seed, 5, m, *_scratch(chunk)) == expected
+
+    @pytest.mark.parametrize("chunk", [1 << 12, 1 << 14, 1 << 15, 1 << 16])
+    def test_estimate_independent_of_chunk(self, chunk, monkeypatch):
+        # Each shard counted from one unchunked draw is the reference; a
+        # dropped, repeated or overlapping chunk changes some shard's hits.
+        n = 1_000_003
+        hits = sum(_count_hits(np.random.PCG64(np.random.SeedSequence([7, shard]))
+                               .random_raw(m), *_scratch(m))
+                   for shard, m in enumerate(part_sizes(n, N_SHARDS)))
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        for p in (1, 2, 3):
+            est, _ = monte_carlo_pi(PiSpec(n, seed=7), p, begin_run("pi", p, n, 7))
+            assert est == 4.0 * hits / n
 
     @pytest.mark.parametrize("x, y, hit", [
         (0, 0, True),
