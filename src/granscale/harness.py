@@ -9,9 +9,10 @@ line per cell so an interrupted sweep can resume. Resume cuts the results
 file and the optional records file by one rule: the completed cells' complete
 lines stay, every byte after them goes.
 
-The serial baseline of a problem size is its p=1 cell: the same parallel
-code at one worker under the identical protocol. With measure_serial_baseline
-set, every size gets one, persisted and resumed like any other cell.
+Every problem size gets a p=1 cell, its serial baseline: the same parallel
+code at one worker under the identical protocol, persisted and resumed like
+any other cell. Outliers are rejected by the two-sided Tukey rule, and the
+rejected runs are measured again, for at most MAX_REFILL_ATTEMPTS rounds.
 
 A k-means cell builds its problem instance (the dataset, and through its
 seed the initial centroids) once, before its warm-up, from (plan seed, size)
@@ -124,12 +125,11 @@ class ExperimentPlan:
     base_problem_size: int
     problem_sizes: Optional[tuple[int, ...]] = None
     repetitions: int = 10
-    measure_serial_baseline: bool = True
     seed: int = 0
-    rerun_outliers: bool = True
-    outlier_side: str = "both"
 
     def __post_init__(self):
+        _check_types(self.workload)
+        _check_types(self)
         if self.mode not in ("strong", "weak"):
             raise ValueError(f"mode must be 'strong' or 'weak', got {self.mode}")
         if not self.worker_counts:
@@ -153,8 +153,6 @@ class ExperimentPlan:
             raise ValueError("a weak plan takes no problem_sizes; its sizes follow base_problem_size")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.outlier_side not in ("both", "upper"):
-            raise ValueError("outlier_side must be 'both' or 'upper'")
         object.__setattr__(self, "worker_counts", tuple(self.worker_counts))
         if self.problem_sizes is not None:
             object.__setattr__(self, "problem_sizes", tuple(self.problem_sizes))
@@ -172,7 +170,14 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentPlan":
-        """Inverse of to_dict; absent fields take their defaults, unknown keys are ignored."""
+        """Inverse of to_dict; absent fields take their defaults, unknown keys are ignored.
+
+        A removed key, now a fixed part of the protocol, loads only at its fixed value.
+        """
+        for key, fixed in {"measure_serial_baseline": True, "rerun_outliers": True,
+                           "outlier_side": "both"}.items():
+            if key in obj and json.dumps(obj[key]) != json.dumps(fixed):
+                raise ValueError(f"{key} was removed: it may only be {json.dumps(fixed)}")
         wl = dict(obj["workload"])
         kind = wl.pop("kind")
         spec_cls = next((c for c, w in _WORKLOADS.items() if w.kind == kind), None)
@@ -185,9 +190,24 @@ class ExperimentPlan:
         return cls(**kwargs)
 
 
-def plan_hash(plan: ExperimentPlan) -> str:
-    canonical = json.dumps(plan.to_dict(), sort_keys=True, separators=(",", ":"))
+def _check_types(obj) -> None:
+    """Refuse a wrong type in obj's int and bool fields, which JSON fills with 2.5 or "yes"."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        want = bool if f.type == "bool" else int if "int" in f.type else None
+        items = (value or ()) if "tuple" in f.type else (value,)
+        if want and not all(type(v) is want for v in items):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+
+
+def _digest(plan_obj) -> str:
+    """sha256 of a plan's canonical JSON: the plan_hash of a header's plan."""
+    canonical = json.dumps(plan_obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def plan_hash(plan: ExperimentPlan) -> str:
+    return _digest(plan.to_dict())
 
 
 def plan_cells(plan: ExperimentPlan) -> list[tuple[int, int]]:
@@ -244,7 +264,6 @@ class CellResult:
 @dataclass
 class ResultSet:
     plan: ExperimentPlan
-    plan_hash: str
     cells: list[CellResult] = field(default_factory=list)
 
     @property
@@ -271,12 +290,7 @@ def _instance_seed(plan_seed: int, size: int) -> int:
 def _measure_cell(
     plan: ExperimentPlan, workers: int, size: int, t1: Optional[float]
 ) -> tuple[CellResult, list[RunRecord]]:
-    """Measure one cell; return its result and its kept runs.
-
-    t1 is the mean wall of the size's p=1 cell; a p=1 cell is its own.
-    """
-    if plan.measure_serial_baseline and workers > 1 and t1 is None:
-        raise ValueError(f"no serial baseline for problem size {size}")
+    """Measure one cell; return its result and its kept runs. t1 is the size's p=1 mean wall."""
     # What the runs share (a k-means instance) lives as long as run(): this
     # frame, so a cell's instance is gone before the next cell builds its own.
     run = _WORKLOADS[type(plan.workload)].cell(plan.workload, workers, size, plan.seed)
@@ -284,34 +298,24 @@ def _measure_cell(
     records = [run() for _ in range(plan.repetitions)]
 
     total_rejected = 0
-    attempts = 0
-    while True:
-        decision = stats.filter_outliers([r.wall_clock for r in records], side=plan.outlier_side)
+    for attempt in range(MAX_REFILL_ATTEMPTS + 1):
+        decision = stats.filter_outliers([r.wall_clock for r in records])
         if not decision.rejected:
             break
         # Equal walls share one verdict, so dropping by value is exact.
         rejected = set(decision.rejected)
         records = [r for r in records if r.wall_clock not in rejected]
         total_rejected += len(decision.rejected)
-        if not plan.rerun_outliers or attempts >= MAX_REFILL_ATTEMPTS:
-            if len(records) < plan.repetitions:
-                log.warning(
-                    "cell (p=%d, size=%d): reporting with %d/%d samples after "
-                    "outlier rejection",
-                    workers, size, len(records), plan.repetitions,
-                )
-            break
-        # Rejected runs are dropped atomically and re-measured.
-        attempts += 1
-        records += [run() for _ in decision.rejected]
+        if attempt < MAX_REFILL_ATTEMPTS:  # rejected runs are dropped atomically and re-measured
+            records += [run() for _ in decision.rejected]
+    if len(records) < plan.repetitions:
+        log.warning("cell (p=%d, size=%d): reporting with %d/%d samples after outlier rejection",
+                    workers, size, len(records), plan.repetitions)
 
     mean_wall = float(np.mean([r.wall_clock for r in records]))
     mean_comp = float(np.mean([aggregate(r).total_comp for r in records]))
     metrics = granularity_metrics(TimingBreakdown(workers, mean_wall, mean_comp))
-    actual = rel_err = None
-    if plan.measure_serial_baseline:
-        actual = (mean_wall if workers == 1 else t1) / mean_wall
-        rel_err = relative_error(actual, metrics.estimated_speedup)
+    actual = (mean_wall if workers == 1 else t1) / mean_wall
     cell = CellResult(
         workload_id=plan.workload_id,
         workers=workers,
@@ -322,13 +326,13 @@ def _measure_cell(
         kept=len(records),
         rejected=total_rejected,
         actual_speedup=actual,
-        relative_error=rel_err,
+        relative_error=relative_error(actual, metrics.estimated_speedup),
     )
     return cell, records
 
 
 def load_results(results_path: Union[str, Path]) -> ResultSet:
-    """Read a results file back into a ResultSet."""
+    """Read a results file back into a ResultSet; a header's plan_hash must match its plan."""
     path = Path(results_path)
     lines = path.read_text().splitlines()
     if not lines:
@@ -338,6 +342,8 @@ def load_results(results_path: Union[str, Path]) -> ResultSet:
         if "plan_hash" not in header or "plan" not in header:
             raise ValueError("missing header fields")
         plan = ExperimentPlan.from_dict(header["plan"])
+        if header["plan_hash"] != _digest(header["plan"]):
+            raise ValueError("plan_hash is not the checksum of the plan")
     except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"{path}: corrupt header at line 1: {exc}") from exc
     cells = []
@@ -348,7 +354,7 @@ def load_results(results_path: Union[str, Path]) -> ResultSet:
             cells.append(CellResult.from_dict(json.loads(line)))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: corrupt record at line {i}: {exc}") from exc
-    return ResultSet(plan=plan, plan_hash=header["plan_hash"], cells=cells)
+    return ResultSet(plan=plan, cells=cells)
 
 
 def _cut_to_lines(path: Path, n: Optional[int] = None) -> int:
@@ -380,11 +386,12 @@ def run_plan(
     The plan and the two paths are the sweep's only inputs; the results
     header records the plan, seed included.
 
-    With measure_serial_baseline set, each problem size also gets a p=1
-    cell, the T_1 of that size's actual_speedup; cells run sorted by
-    (workers, size), so a baseline precedes the cells that use it.
+    Each problem size also gets a p=1 cell, the T_1 of that size's
+    actual_speedup; cells run sorted by (workers, size), so a baseline
+    precedes the cells that use it.
 
-    With resume=True, cells already present in out_path are skipped; seeds
+    With resume=True, out_path's plan must equal this one, and its cells
+    are skipped (its header stays, an older version's included); seeds
     are derived from the plan seed per (cell, repetition), or per size for a
     k-means instance, so a resumed sweep of a deterministic workload equals
     an uninterrupted one. A results file left empty by a crash during its
@@ -394,10 +401,8 @@ def run_plan(
     sweep rewrites it; a resumed one keeps the runs of the cells taken from
     out_path and drops any bytes after them, a torn line included.
     """
-    h = plan_hash(plan)
     cells = plan_cells(plan)
-    if plan.measure_serial_baseline:
-        cells = sorted(set(cells) | {(1, s) for _, s in cells})
+    cells = sorted(set(cells) | {(1, s) for _, s in cells})
 
     max_p = max(plan.worker_counts)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -413,10 +418,10 @@ def run_plan(
         out_path = Path(out_path)
         if resume and out_path.exists() and _cut_to_lines(out_path):
             prior = load_results(out_path)
-            if prior.plan_hash != h:
+            if prior.plan != plan:
                 raise ValueError("plan mismatch")
     completed = {c.cell_key: c for c in prior.cells} if prior is not None else {}
-    results = ResultSet(plan=plan, plan_hash=h)
+    results = ResultSet(plan=plan)
     baselines: dict[int, float] = {}  # size -> mean wall of its p=1 cell
 
     with contextlib.ExitStack() as files:
@@ -431,10 +436,9 @@ def run_plan(
         if out_path is not None:
             out_file = files.enter_context(out_path.open("w" if prior is None else "a"))
             if prior is None:
-                out_file.write(
-                    json.dumps({"plan_hash": h, "plan": plan.to_dict(), "tool_version": __version__})
-                    + "\n"
-                )
+                header = {"plan_hash": plan_hash(plan), "plan": plan.to_dict(),
+                          "tool_version": __version__}
+                out_file.write(json.dumps(header) + "\n")
                 out_file.flush()
 
         for i, (workers, size) in enumerate(cells, start=1):

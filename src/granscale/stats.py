@@ -7,7 +7,6 @@ bit-for-bit elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,22 +31,17 @@ def quartiles(values: Sequence[float]) -> tuple[float, float]:
     return float(q1), float(q3)
 
 
-def filter_outliers(values: Sequence[float], side: str = "both") -> OutlierDecision:
-    """Reject values beyond 1.5 interquartile ranges from the quartiles.
+def filter_outliers(values: Sequence[float]) -> OutlierDecision:
+    """Reject values beyond 1.5 interquartile ranges from the quartiles, on both sides.
 
-    side="upper" applies only the upper fence (the one-sided reading of the
-    rejection rule); "both" is the standard Tukey form.
+    This two-sided Tukey rule is the sweep's only outlier rule.
     """
-    if side not in ("both", "upper"):
-        raise ValueError(f"side must be 'both' or 'upper', got {side}")
     vals = tuple(float(v) for v in values)
     q1, q3 = quartiles(vals)
     iqr = q3 - q1
-    lower = q1 - 1.5 * iqr if side == "both" else -math.inf
-    upper = q3 + 1.5 * iqr
+    lower, upper = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     if len(vals) < MIN_SAMPLES_FOR_REJECTION:
         return OutlierDecision(kept=vals, rejected=(), fences=(lower, upper))
     kept = tuple(v for v in vals if lower <= v <= upper)
     rejected = tuple(v for v in vals if not lower <= v <= upper)
     return OutlierDecision(kept=kept, rejected=rejected, fences=(lower, upper))
-

@@ -35,6 +35,10 @@ def sim_plan(**overrides):
     return ExperimentPlan(**kwargs)
 
 
+KM_PLAN = sim_plan(workload=KMeansSpec(n_points=100, n_clusters=4, dims=2),
+                   problem_sizes=(100,), base_problem_size=100).to_dict()
+
+
 class TestPlanValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -75,9 +79,8 @@ class TestPlanValidation:
                 sim_plan(problem_sizes=sizes)
 
     def test_duplicate_problem_sizes(self):
-        for baseline in (True, False):
-            with pytest.raises(ValueError, match=r"problem sizes must be distinct, got \[4, 4\]"):
-                sim_plan(problem_sizes=(4, 4), measure_serial_baseline=baseline)
+        with pytest.raises(ValueError, match=r"problem sizes must be distinct, got \[4, 4\]"):
+            sim_plan(problem_sizes=(4, 4))
 
     def test_weak_plan_takes_no_problem_sizes(self):
         with pytest.raises(ValueError, match="a weak plan takes no problem_sizes"):
@@ -121,14 +124,14 @@ class TestPlanCells:
 
 class TestRunPlan:
     def test_synthetic_cell_metrics(self):
+        # Every worker computes 90 ms and exchanges 10 ms: E = 0.9 at any p.
         plan = sim_plan(workload=SyntheticSpec(90, 10, 1), worker_counts=(4,),
-                        problem_sizes=(3,), base_problem_size=3, repetitions=3,
-                        measure_serial_baseline=False)
+                        problem_sizes=(3,), base_problem_size=3, repetitions=3)
         res = run_plan(plan)
-        assert len(res.cells) == 1
-        cell = res.cells[0]
-        assert abs(cell.metrics.efficiency - 0.9) <= 0.08
-        assert cell.kept == 3
+        assert sorted(c.workers for c in res.cells) == [1, 4]
+        for cell in res.cells:
+            assert abs(cell.metrics.efficiency - 0.9) <= 0.08, cell
+            assert cell.kept == 3
 
     def test_serial_self_comparison(self):
         plan = sim_plan(workload=PiSpec(n_samples=50_000, seed=1),
@@ -197,23 +200,13 @@ class TestRunPlan:
 
         monkeypatch.setattr(harness, "synthetic_run", run)
         plan = sim_plan(worker_counts=(1,), problem_sizes=(1,), base_problem_size=1,
-                        repetitions=5, measure_serial_baseline=False, **overrides)
+                        repetitions=5, **overrides)
         return run_plan(plan).cells[0]
 
     def test_outlier_dropped_and_refilled(self, monkeypatch):
         cell = self._slow_run_plan(monkeypatch, [0.006] * 5 + [0.06, 0.006])
         assert (cell.kept, cell.rejected) == (5, 1)
         assert cell.mean_wall == pytest.approx(0.006)
-
-    def test_outlier_dropped_without_refill(self, monkeypatch):
-        cell = self._slow_run_plan(monkeypatch, [0.006] * 5 + [0.06], rerun_outliers=False)
-        assert (cell.kept, cell.rejected) == (4, 1)
-        assert cell.mean_wall == pytest.approx(0.006)
-
-    def test_cell_without_baseline_fails(self):
-        # T_1 = T_p would pass silently for a baseline that is missing.
-        with pytest.raises(ValueError, match="no serial baseline for problem size 4"):
-            harness._measure_cell(sim_plan(), 2, 4, None)
 
     def test_warns_on_fewer_cpus_than_workers(self, monkeypatch, caplog):
         # The affinity mask, not the host's CPU count, bounds the parallelism.
@@ -226,7 +219,7 @@ class TestRunPlan:
         plan = sim_plan(
             workload=KMeansSpec(n_points=4, n_clusters=2, dims=2, seed=0),
             worker_counts=(8,), problem_sizes=(4,), base_problem_size=4,
-            repetitions=1, measure_serial_baseline=False,
+            repetitions=1,
         )
         with pytest.raises(CellExecutionError) as exc:
             run_plan(plan)
@@ -253,9 +246,6 @@ class TestRunPlan:
         t1 = {c.problem_size: c.mean_wall for c in cells if c.workers == 1}
         for c in cells:
             assert c.actual_speedup == t1[c.problem_size] / c.mean_wall
-        no_baseline = dataclasses.replace(plan, measure_serial_baseline=False)
-        assert [(c.workers, c.problem_size) for c in run_plan(no_baseline).cells] == \
-            plan_cells(plan)
 
     def test_cli_run_writes_records(self, tmp_path):
         # The second plan has no p=1: its baseline runs are recorded too.
@@ -284,12 +274,28 @@ class TestRunPlan:
         pytest.param({**sim_plan().to_dict(), "mode": "weak", "worker_counts": [2, 4],
                       "base_problem_size": 5, "problem_sizes": None},
                      id="weak-base-indivisible"),
-        pytest.param({**sim_plan().to_dict(), "problem_sizes": [4, 4],
-                      "measure_serial_baseline": False}, id="strong-duplicate-sizes"),
+        pytest.param({**sim_plan().to_dict(), "problem_sizes": [4, 4]},
+                     id="strong-duplicate-sizes"),
         pytest.param({**sim_plan().to_dict(), "mode": "weak", "worker_counts": [1, 2],
                       "base_problem_size": 4, "problem_sizes": [100, 200]},
                      id="weak-with-sizes"),
         pytest.param(None, id="plan-file-missing"),
+        # Wrongly typed values: a sweep would fail partway through on each,
+        # or run another plan, so they are refused before anything is written.
+        *(pytest.param({**sim_plan().to_dict(), key: value}, id=name) for name, key, value in (
+            ("repetitions-fraction", "repetitions", 2.5),
+            ("workers-fraction", "worker_counts", [1, 2.5]),
+            ("workers-bool", "worker_counts", [True, 2]),
+            ("seed-fraction", "seed", 1.5),
+            ("base-size-fraction", "base_problem_size", 4.5),
+            ("sizes-fraction", "problem_sizes", [4.5]),
+        )),
+        *(pytest.param({**plan, "workload": {**plan["workload"], key: value}}, id=name)
+          for name, plan, key, value in (
+            ("kmeans-clusters-fraction", KM_PLAN, "n_clusters", 2.5),
+            ("kmeans-iterations-fraction", KM_PLAN, "max_iterations", 1.5),
+            ("simulate-string", sim_plan().to_dict(), "simulate", "yes"),
+        )),
     ])
     def test_cli_run_rejects_invalid_plan(self, tmp_path, capsys, plan_obj):
         plan_file, out = tmp_path / "plan.json", tmp_path / "r.jsonl"
@@ -395,13 +401,14 @@ class TestResume:
             assert str(exc.value).startswith(f"{bad}: ")
 
     def test_resume_plan_mismatch(self, tmp_path):
+        # A hash that is not its plan's checksum makes the header corrupt.
         plan, out = self._full_run(tmp_path)
         lines = out.read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
         header["plan_hash"] = "0" * 64
         edited = tmp_path / "edited.jsonl"
         edited.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-        with pytest.raises(ValueError, match="plan mismatch"):
+        with pytest.raises(ValueError, match="corrupt header at line 1"):
             resume(edited)
 
     def test_seed_variable_ignored(self, tmp_path, monkeypatch):
@@ -702,13 +709,20 @@ class TestCellResult:
 # every number exact, so any change to the harness that alters a result, a
 # key order or the header shows up here.
 PINNED_RESULTS = (
-    '{"plan_hash": "f65e5e6e3490eca06706ba4450446f7661b57c6f63a9fd3c154e0f58f328af3b", "plan": {"workload": {"kind": "synthetic", "compute_ms_per_worker": 5, "exchange_ms_per_worker": 1, "iterations": 1, "simulate": true}, "mode": "strong", "worker_counts": [1, 2, 4], "base_problem_size": 4, "problem_sizes": [4, 8], "repetitions": 3, "measure_serial_baseline": true, "seed": 7, "rerun_outliers": true, "outlier_side": "both"}, "tool_version": "0.1.0"}',
+    '{"plan_hash": "0f54d121e57d70c1bc2d28831baf5192348988c8174dca71b845dd374943aed8", "plan": {"workload": {"kind": "synthetic", "compute_ms_per_worker": 5, "exchange_ms_per_worker": 1, "iterations": 1, "simulate": true}, "mode": "strong", "worker_counts": [1, 2, 4], "base_problem_size": 4, "problem_sizes": [4, 8], "repetitions": 3, "seed": 7}, "tool_version": "0.1.0"}',
     '{"workload_id": "synthetic", "workers": 1, "problem_size": 4, "mean_wall": 0.024000000000000004, "mean_total_comp": 0.02, "overhead": 0.0040000000000000036, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 0.8333333333333333, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": -0.16666666666666674}',
     '{"workload_id": "synthetic", "workers": 1, "problem_size": 8, "mean_wall": 0.04800000000000001, "mean_total_comp": 0.04, "overhead": 0.008000000000000007, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 0.8333333333333333, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": -0.16666666666666674}',
     '{"workload_id": "synthetic", "workers": 2, "problem_size": 4, "mean_wall": 0.024000000000000004, "mean_total_comp": 0.04, "overhead": 0.008000000000000007, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 1.6666666666666665, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": 0.6666666666666665}',
     '{"workload_id": "synthetic", "workers": 2, "problem_size": 8, "mean_wall": 0.04800000000000001, "mean_total_comp": 0.08, "overhead": 0.016000000000000014, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 1.6666666666666665, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": 0.6666666666666665}',
     '{"workload_id": "synthetic", "workers": 4, "problem_size": 4, "mean_wall": 0.024000000000000004, "mean_total_comp": 0.08, "overhead": 0.016000000000000014, "granularity": 4.999999999999996, "efficiency": 0.8333333333333333, "estimated_speedup": 3.333333333333333, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": 2.333333333333333}',
     '{"workload_id": "synthetic", "workers": 4, "problem_size": 8, "mean_wall": 0.04800000000000001, "mean_total_comp": 0.16000000000000006, "overhead": 0.03199999999999997, "granularity": 5.000000000000006, "efficiency": 0.8333333333333335, "estimated_speedup": 3.333333333333334, "overhead_clamped": false, "kept": 3, "rejected": 0, "actual_speedup": 1.0, "relative_error": 2.333333333333334}',
+)
+
+# The same sweep's header as written before the plan lost its
+# measure_serial_baseline, rerun_outliers and outlier_side fields, each
+# here at the one value every sweep now uses.
+LEGACY_HEADER = (
+    '{"plan_hash": "f65e5e6e3490eca06706ba4450446f7661b57c6f63a9fd3c154e0f58f328af3b", "plan": {"workload": {"kind": "synthetic", "compute_ms_per_worker": 5, "exchange_ms_per_worker": 1, "iterations": 1, "simulate": true}, "mode": "strong", "worker_counts": [1, 2, 4], "base_problem_size": 4, "problem_sizes": [4, 8], "repetitions": 3, "measure_serial_baseline": true, "seed": 7, "rerun_outliers": true, "outlier_side": "both"}, "tool_version": "0.1.0"}'
 )
 
 # sha256 of `granscale report --format json` on that file.
@@ -731,7 +745,7 @@ class TestPinnedBytes:
         out = tmp_path / "r.jsonl"
         run_plan(self._plan(), out_path=out)
         assert out.read_text().splitlines() == list(PINNED_RESULTS)
-        assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("dfa6028d757f5b5c")
+        assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("019422cb17fd1ed2")
 
     def test_records_file_bytes(self, tmp_path):
         records = tmp_path / "runs.jsonl"
@@ -745,3 +759,51 @@ class TestPinnedBytes:
         assert cli.main(["report", "--in", str(results), "--format", "json",
                          "--out", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_REPORT_SHA256
+
+    def test_legacy_header_resumes(self, tmp_path):
+        # A file written before the three fields went, cut after three cells,
+        # resumes under its own header to the same cell lines.
+        results = tmp_path / "r.jsonl"
+        results.write_text("\n".join((LEGACY_HEADER,) + PINNED_RESULTS[1:4]) + "\n")
+        resume(results)
+        assert results.read_text().splitlines() == [LEGACY_HEADER, *PINNED_RESULTS[1:]]
+        assert load_results(results).plan == self._plan()
+        report = tmp_path / "report.json"
+        assert cli.main(["report", "--in", str(results), "--format", "json",
+                         "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_REPORT_SHA256
+
+
+class TestRemovedPlanKeys:
+    """measure_serial_baseline, rerun_outliers and outlier_side are fixed protocol now."""
+
+    OLD_DEFAULTS = {"measure_serial_baseline": True, "rerun_outliers": True,
+                    "outlier_side": "both"}
+
+    def test_old_defaults_load(self):
+        plan = sim_plan()
+        assert ExperimentPlan.from_dict({**plan.to_dict(), **self.OLD_DEFAULTS}) == plan
+
+    @pytest.mark.parametrize("key, value", [
+        ("measure_serial_baseline", False),
+        ("rerun_outliers", False),
+        ("outlier_side", "upper"),
+    ])
+    def test_other_values_refused(self, tmp_path, capsys, key, value):
+        # Loading it would run the fixed protocol instead of what the plan asks.
+        plan_file, out = tmp_path / "plan.json", tmp_path / "r.jsonl"
+        plan_file.write_text(json.dumps({**sim_plan().to_dict(), key: value}))
+        assert cli.main(["run", "--plan", str(plan_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan_file}: invalid plan: {key} was removed")
+        assert not out.exists()
+
+    def test_header_with_other_value_refused(self, tmp_path):
+        header = json.loads(LEGACY_HEADER)
+        header["plan"]["outlier_side"] = "upper"
+        header["plan_hash"] = hashlib.sha256(json.dumps(
+            header["plan"], sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        results = tmp_path / "r.jsonl"
+        results.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError, match="corrupt header at line 1: outlier_side was removed"):
+            load_results(results)

@@ -31,12 +31,12 @@ SIM = SyntheticSpec(compute_ms_per_worker=5, exchange_ms_per_worker=1,
 
 
 def run_sim(mode="strong", worker_counts=(1, 2), problem_sizes=(4, 8),
-            base=4, baseline=True, workload=SIM):
+            base=4, workload=SIM):
     plan = ExperimentPlan(
         workload=workload, mode=mode, worker_counts=worker_counts,
         base_problem_size=base,
         problem_sizes=problem_sizes if mode == "strong" else None,
-        repetitions=2, measure_serial_baseline=baseline, seed=5,
+        repetitions=2, seed=5,
     )
     return run_plan(plan)
 
@@ -47,7 +47,7 @@ def hand_built(mode, cells, repetitions=3):
         workload=SIM, mode=mode, worker_counts=(2, 4), base_problem_size=4,
         problem_sizes=(4,) if mode == "strong" else None, repetitions=repetitions,
     )
-    return ResultSet(plan=plan, plan_hash="hand-built", cells=cells)
+    return ResultSet(plan=plan, cells=cells)
 
 
 def cell(workers, size, wall, comp=None, kept=3, actual_speedup=None):
@@ -79,7 +79,8 @@ class TestStrongScalingCsv:
         assert keys == sorted(keys, key=lambda t: (t[1], t[0]))
 
     def test_no_baseline_leaves_column_empty(self):
-        res = run_sim(baseline=False)
+        # Results lines without a speedup, as older files may hold.
+        res = hand_built("strong", [cell(p, s, 1.0) for p in (2, 4) for s in (4, 8)])
         lines = strong_scaling_csv(res).splitlines()[1:]
         assert len(lines) == 4
         assert all(line.split(",")[2] == "" for line in lines)
@@ -115,8 +116,8 @@ class TestWeakScalingTables:
             weak_scaling_tables(run_sim(mode="strong"))
 
     def test_missing_baseline(self):
-        res = run_sim(mode="weak", worker_counts=(2, 4), base=4, baseline=False)
-        with pytest.raises(ValueError):
+        res = hand_built("weak", [cell(2, 4, 1.0), cell(4, 8, 1.0)])
+        with pytest.raises(ValueError, match="serial baseline"):
             weak_scaling_tables(res)
 
     @pytest.mark.parametrize("fmt", ["csv", "table"])
@@ -218,9 +219,11 @@ class TestCliReport:
         infile, out = tmp_path / "r.jsonl", tmp_path / "report.txt"
         if fault == "weak-no-baseline":
             plan = ExperimentPlan(workload=SIM, mode="weak", worker_counts=(2, 4),
-                                  base_problem_size=4, repetitions=2,
-                                  measure_serial_baseline=False)
+                                  base_problem_size=4, repetitions=2)
             run_plan(plan, out_path=infile)
+            header, *lines = infile.read_text().splitlines()
+            lines = [line for line in lines if json.loads(line)["workers"] > 1]
+            infile.write_text("\n".join([header] + lines) + "\n")
         elif fault != "missing":
             run_plan(ExperimentPlan(workload=SIM, mode="strong", worker_counts=(1, 2),
                                     base_problem_size=4, repetitions=2), out_path=infile)

@@ -49,16 +49,9 @@ class TestFilterOutliers:
         assert all(lower <= v <= upper for v in d.kept)
         assert all(not (lower <= v <= upper) for v in d.rejected)
 
-    def test_upper_side_only(self):
-        values = [-100.0, 10, 11, 12, 13]
-        both = filter_outliers(values, side="both")
-        upper = filter_outliers(values, side="upper")
-        assert -100.0 in both.rejected
-        assert -100.0 in upper.kept
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            filter_outliers([1, 2, 3], side="lower")
+    def test_lower_outlier_rejected(self):
+        # The rule is two-sided: a value far below the quartiles goes too.
+        assert filter_outliers([-100.0, 10, 11, 12, 13]).rejected == (-100.0,)
 
 
 class TestProperties:
