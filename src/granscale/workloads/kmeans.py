@@ -74,8 +74,8 @@ class KMeansSpec:
             raise ValueError("dims must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_epsilon < 0:
-            raise ValueError("convergence_epsilon must be >= 0")
+        if not 0 <= self.convergence_epsilon < math.inf:
+            raise ValueError("convergence_epsilon must be finite and >= 0")
 
 
 def _blob_centers(k: int, dims: int) -> np.ndarray:

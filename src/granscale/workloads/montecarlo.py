@@ -7,19 +7,24 @@ worker count. Each worker times its whole shard loop as one `sample` span,
 so every worker records exactly one span, and returns its hit count; the
 final tally across workers is not timed.
 
-A sample is one 64-bit word of its shard's stream: the high 32 bits are x,
-the low 32 bits are y, and the sample hits when x² + y² < 2⁶⁴, a test made
-exactly in uint64 arithmetic (`_count_hits`). One word per sample is half
-the draws of two doubles, and since no sample spans two words, the hits do
-not depend on how a shard is cut into chunks. Integer coordinates count the
-lattice points under the arc, which biases the estimate by about
-4/2³² ≈ 9·10⁻¹⁰, far below its sampling error of about 1/√N.
+A sample is one 32-bit half of a 64-bit word of its shard's stream, the
+low half first: a word gives two samples, and a shard of m samples draws
+⌈m/2⌉ words (an odd shard leaves its last word's high half unused). With
+bits 16 and 0 set, a sample's high and low 16 bits are odd, x = 2i+1 and
+y = 2j+1, the cell midpoints of a 2¹⁵ × 2¹⁵ grid, and the sample hits when
+x² + y² < 2³², a test made exactly in uint32 arithmetic (`_count_hits`).
+Two odd squares sum to 2 mod 8, so no sample lies on the arc. Every chunk
+but a shard's last holds an even number of samples, so no word is split
+between chunks, and the hits do not depend on how a shard is cut into
+chunks. The estimate's expected value is 4·C/2³⁰ = π − 1.66·10⁻⁷, where C
+counts the grid points inside the arc; that bias is far below its sampling
+error of about 1.6/√N, and reaches it only near 10¹⁴ samples.
 
-A chunk of `_CHUNK` samples takes eight numpy calls (`random_raw`, shift,
-two multiplies, and, add, compare, count). Each releases the GIL and must
-take it back, and a worker waiting for it is inside its `sample` span, so
-that wait counts as computation. A p=2 worker of an 8M run makes 1,024 of
-these calls: 32 shards of four 2¹⁵-sample chunks.
+A chunk of `_CHUNK` samples takes nine numpy calls (`random_raw`, or,
+shift, multiply, and, multiply, add, compare, count). Each releases the GIL
+and must take it back, and a worker waiting for it is inside its `sample`
+span, so that wait counts as computation. A p=2 worker of an 8M run makes
+576 of these calls: 32 shards of two 2¹⁶-sample chunks.
 
 The sampling loop allocates one array per chunk, the words `random_raw`
 returns; each worker allocates its other scratch once per run, before its
@@ -41,14 +46,16 @@ from ._pool import part_sizes, run_workers
 #: Logical RNG shards, independent of worker count.
 N_SHARDS = 64
 
-#: Samples drawn per numpy call. Each of a chunk's eight calls can hand the
-#: GIL to the other worker, so smaller chunks slow a two-worker run: pi-weak's
-#: p=2 run took 1.24× the wall time at 2¹⁴ as at 2¹⁵, and 1.4× at 2¹³ as at
-#: 2¹⁴. Each chunk also gets a fresh array from `random_raw`; large enough,
-#: its pages go back to the kernel when it is freed and fault in again on
-#: the next call. Minor faults per pi-weak sweep read 11–16 at 2¹⁴, 11–16
-#: at 2¹⁵ in 23 of 24 sweeps (149 in one), and 7.8k–10.2k at 2¹⁶.
-_CHUNK = 1 << 15
+#: Samples per chunk, an even number so that a chunk takes whole words.
+#: Each of a chunk's nine numpy calls can hand the GIL to the other worker,
+#: so smaller chunks slow a two-worker run: pi-weak's p=2 run took 1.24× the
+#: wall time at 2¹⁴ as at 2¹⁵ 64-bit samples, and 1.4× at 2¹³ as at 2¹⁴.
+#: Each chunk also gets a fresh array from `random_raw`; large enough, its
+#: pages go back to the kernel when it is freed and fault in again on the
+#: next call. Minor faults per pi-weak sweep read 11–16 with a 128-KB or
+#: 256-KB array, and 7.8k–10.2k with a 512-KB one. 2¹⁶ samples draw 2¹⁵
+#: words, a 256-KB array.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,19 +70,21 @@ class PiSpec:
 
 def _scratch(chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """Buffers for chunks of up to `chunk` samples: x², and the hit mask."""
-    return np.empty(chunk, dtype=np.uint64), np.empty(chunk, dtype=bool)
+    return np.empty(chunk, dtype=np.uint32), np.empty(chunk, dtype=bool)
 
 
-def _count_hits(words: np.ndarray, x2: np.ndarray, mask: np.ndarray) -> int:
-    """Hits among uint64 samples (x high, y low); overwrites `words`.
+def _count_hits(words: np.ndarray, n: int, x2: np.ndarray, mask: np.ndarray) -> int:
+    """Hits among the first `n` 32-bit samples of uint64 `words`, each word's
+    low half first; overwrites `words`.
 
-    x² and y² are exact in uint64 and their sum wraps modulo 2⁶⁴, so it is
-    at least x² exactly when x² + y² < 2⁶⁴.
+    x² and y² are below 2³² and their sum wraps modulo 2³² at most once, so
+    it is at least x² exactly when x² + y² < 2³².
     """
-    n = len(words)
-    x2 = np.right_shift(words, 32, out=x2[:n])
+    s = np.asarray(words, dtype="<u8").view("<u4")[:n]
+    np.bitwise_or(s, 0x0001_0001, out=s)
+    x2 = np.right_shift(s, 16, out=x2[:n])
     np.multiply(x2, x2, out=x2)
-    s = np.bitwise_and(words, 0xFFFF_FFFF, out=words)
+    np.bitwise_and(s, 0xFFFF, out=s)
     np.multiply(s, s, out=s)
     np.add(s, x2, out=s)
     return int(np.count_nonzero(np.greater_equal(s, x2, out=mask[:n])))
@@ -83,8 +92,11 @@ def _count_hits(words: np.ndarray, x2: np.ndarray, mask: np.ndarray) -> int:
 
 def _sample_shard(seed: int, shard: int, m: int, x2: np.ndarray, mask: np.ndarray) -> int:
     bitgen = np.random.PCG64(np.random.SeedSequence([seed & SEED_MASK, shard]))
-    return sum(_count_hits(bitgen.random_raw(min(_CHUNK, m - off)), x2, mask)
-               for off in range(0, m, _CHUNK))
+    hits = 0
+    for off in range(0, m, _CHUNK):
+        n = min(_CHUNK, m - off)
+        hits += _count_hits(bitgen.random_raw((n + 1) // 2), n, x2, mask)
+    return hits
 
 
 def monte_carlo_pi(

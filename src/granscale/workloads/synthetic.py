@@ -26,6 +26,7 @@ for resume/persistence equality checks and fast tests.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -41,8 +42,9 @@ class SyntheticSpec:
     simulate: bool = False
 
     def __post_init__(self):
-        if self.compute_ms_per_worker <= 0 or self.exchange_ms_per_worker <= 0:
-            raise ValueError("compute and exchange durations must be > 0")
+        for name in ("compute_ms_per_worker", "exchange_ms_per_worker"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 from pathlib import Path
 
@@ -48,3 +49,17 @@ def test_json_report_keys_and_flags():
     table = table[:table.index("\n\n")]
     flags = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
     assert flags == sorted([report.FLAG_CLAMPED, report.FLAG_INCOMPLETE, report.FLAG_SUPERLINEAR])
+
+
+def test_pi_expectation_matches_the_grid():
+    # C counts the midpoints (2i+1, 2j+1) of the 2¹⁵ × 2¹⁵ grid inside the
+    # arc x² + y² < 2³²: for each x, the odd y with y² ≤ 2³² − x² − 1.
+    c = sum((math.isqrt((1 << 32) - (2 * i + 1) ** 2 - 1) + 1) // 2 for i in range(1 << 15))
+    expected = 4 * c / 2**30
+    text = re.search(r"expected value is 4·C/2³⁰ = (\d\.\d+), that is\s+"
+                     r"π − (\d\.\d+)·10⁻([⁰¹²³⁴⁵⁶⁷⁸⁹]+), where C = ([\d,]+) counts", README)
+    value, bias, exponent, count = text.groups()
+    exponent = int(exponent.translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")))
+    assert int(count.replace(",", "")) == c
+    assert value == f"{expected:.{len(value) - 2}f}"
+    assert bias == f"{(math.pi - expected) * 10**exponent:.{len(bias) - 2}f}"

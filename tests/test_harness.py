@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import weakref
 
@@ -295,6 +296,13 @@ class TestRunPlan:
             ("kmeans-clusters-fraction", KM_PLAN, "n_clusters", 2.5),
             ("kmeans-iterations-fraction", KM_PLAN, "max_iterations", 1.5),
             ("simulate-string", sim_plan().to_dict(), "simulate", "yes"),
+            # Non-finite floats: the header would hold bare NaN or Infinity.
+            ("kmeans-epsilon-nan", KM_PLAN, "convergence_epsilon", math.nan),
+            ("kmeans-epsilon-inf", KM_PLAN, "convergence_epsilon", math.inf),
+            ("compute-nan", sim_plan().to_dict(), "compute_ms_per_worker", math.nan),
+            ("compute-inf", sim_plan().to_dict(), "compute_ms_per_worker", math.inf),
+            ("exchange-nan", sim_plan().to_dict(), "exchange_ms_per_worker", math.nan),
+            ("exchange-inf", sim_plan().to_dict(), "exchange_ms_per_worker", math.inf),
         )),
     ])
     def test_cli_run_rejects_invalid_plan(self, tmp_path, capsys, plan_obj):

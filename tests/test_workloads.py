@@ -85,6 +85,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             KMeansSpec(n_points=4, n_clusters=4, dims=0)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_epsilon_must_be_finite(self, epsilon):
+        # A NaN or infinite epsilon would reach the results header as a
+        # bare NaN or Infinity token, which strict JSON parsers refuse.
+        with pytest.raises(ValueError, match="convergence_epsilon must be finite"):
+            KMeansSpec(n_points=4, n_clusters=4, dims=2, convergence_epsilon=epsilon)
+
     def test_pinned_bytes(self):
         spec = KMeansSpec(n_points=1000, n_clusters=4, dims=2, seed=42)
         assert _sha256(generate_dataset(spec)) == (
@@ -498,16 +505,20 @@ class TestMonteCarloPi:
     @staticmethod
     def _reference_hits(seed, shard, m):
         # The definition the in-place kernel must match, in Python integers:
-        # one word per sample, x its high and y its low 32 bits.
+        # two samples per word, its low 32 bits first, then its high 32 bits.
+        # With bits 16 and 0 set, x is a sample's high and y its low 16 bits.
         bitgen = np.random.PCG64(np.random.SeedSequence([seed & ((1 << 64) - 1), shard]))
-        return sum((v >> 32) ** 2 + (v & 0xFFFFFFFF) ** 2 < 2**64
-                   for v in bitgen.random_raw(m).tolist())
+        samples = [half for v in bitgen.random_raw((m + 1) // 2).tolist()
+                   for half in (v & 0xFFFFFFFF, v >> 32)][:m]
+        odd = [s | 0x0001_0001 for s in samples]
+        return sum((s >> 16) ** 2 + (s & 0xFFFF) ** 2 < 2**32 for s in odd)
 
-    # Chunk boundaries, those of the earlier 2¹⁴-sample chunk, and shards of
-    # about a million samples: many chunks with a ragged last one.
-    @pytest.mark.parametrize("m", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3,
-                                   16_383, 16_384, 16_385, 32_771,
-                                   999_999, 1_000_000, 1_000_001])
+    # Chunk boundaries, those of the earlier 2¹⁴- and 2¹⁵-sample chunks, odd
+    # shards (the last word's high half unused), and shards of about a
+    # million samples: many chunks with a ragged last one.
+    @pytest.mark.parametrize("m", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3,
+                                   16_383, 16_384, 16_385, 32_767, 32_768, 32_769, 32_771,
+                                   65_539, 999_999, 1_000_000, 1_000_001])
     @pytest.mark.parametrize("seed", [0, 7, -3, (1 << 64) - 1])
     def test_sample_shard_matches_reference(self, m, seed):
         expected = self._reference_hits(seed, 5, m)
@@ -522,7 +533,7 @@ class TestMonteCarloPi:
         # dropped, repeated or overlapping chunk changes some shard's hits.
         n = 1_000_003
         hits = sum(_count_hits(np.random.PCG64(np.random.SeedSequence([7, shard]))
-                               .random_raw(m), *_scratch(m))
+                               .random_raw((m + 1) // 2), m, *_scratch(m))
                    for shard, m in enumerate(part_sizes(n, N_SHARDS)))
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         for p in (1, 2, 3):
@@ -530,21 +541,27 @@ class TestMonteCarloPi:
             assert est == 4.0 * hits / n
 
     @pytest.mark.parametrize("x, y, hit", [
-        (0, 0, True),
-        (2**32 - 1, 92681, True),  # 92681² < 2³³ − 1: the sum stays below 2⁶⁴
-        (92681, 2**32 - 1, True),
-        (2**32 - 1, 92682, False),  # 92682² > 2³³ − 1: the sum wraps
-        (92682, 2**32 - 1, False),
-        (2**32 - 1, 2**32 - 1, False),
+        (1, 1, True),
+        (65535, 361, True),  # 65535² + 361² = 2³² − 750: the sum stays below 2³²
+        (361, 65535, True),
+        (65535, 363, False),  # 65535² + 363² = 2³² + 698: the sum wraps
+        (363, 65535, False),
+        (46341, 46341, False),  # 2·46341² = 2³² + 9266
+        (65535, 65535, False),  # the wrap edge: the largest sum, 2³³ − 2¹⁸ + 2
     ])
     def test_hit_test_at_the_wrap_around(self, x, y, hit):
-        words = np.array([x << 32 | y], dtype=np.uint64)
-        assert _count_hits(words, *_scratch(1)) == hit
+        # The kernel sets bits 16 and 0, so the sample reads the same odd x and
+        # y with those bits clear. The word's high half, 0, is a second sample
+        # that would hit; it lies past n = 1.
+        for low_bits in (0, 0x0001_0001):
+            sample = (x << 16 | y) & ~0x0001_0001 | low_bits
+            words = np.array([sample], dtype=np.uint64)
+            assert _count_hits(words, 1, *_scratch(1)) == hit
 
     @pytest.mark.parametrize("n_samples, workers, expected", [
-        (8_000_000, 1, 3.142168),
-        (8_000_000, 2, 3.142168),
-        (4_000_000, 1, 3.142324),
+        (8_000_000, 1, 3.1409495),
+        (8_000_000, 2, 3.1409495),
+        (4_000_000, 1, 3.140885),
     ])
     def test_pinned_estimates(self, n_samples, workers, expected):
         h = begin_run("pi", workers, n_samples, 7)
@@ -553,9 +570,9 @@ class TestMonteCarloPi:
 
     @pytest.mark.parametrize("n_samples, workers", [(8_000_000, 2), (4_000_000, 1)])
     def test_scratch_allocated_once_per_worker(self, n_samples, workers):
-        # Per worker, the uint64 and bool scratch (9 B/sample) and the one
-        # chunk of words `random_raw` returns (8 B/sample) are the only
-        # sizeable allocations; a temporary the size of a shard (8 B for each
+        # Per worker, the uint32 and bool scratch (5 B/sample) and the one
+        # chunk of words `random_raw` returns (4 B/sample) are the only
+        # sizeable allocations; a temporary the size of a shard (4 B for each
         # of 62.5k or 125k samples) breaks the bound.
         chunk = min(_CHUNK, max(part_sizes(n_samples, N_SHARDS)))
         # A first run in a process imports numpy.random (about 0.7 MB).
@@ -567,7 +584,7 @@ class TestMonteCarloPi:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= workers * 17 * chunk + 64 * 1024
+        assert peak <= workers * 9 * chunk + 64 * 1024
 
 
 class TestSynthetic:
@@ -609,6 +626,13 @@ class TestSynthetic:
             SyntheticSpec(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             SyntheticSpec(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("field", ["compute_ms_per_worker", "exchange_ms_per_worker"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_durations_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            SyntheticSpec(**{"compute_ms_per_worker": 1.0, "exchange_ms_per_worker": 1.0,
+                             field: value})
 
     def test_phase_labels(self):
         h = begin_run("synthetic", 2, 2, 0)
