@@ -2,7 +2,7 @@
 
 Expands a strong- or weak-scaling plan into (workers, problem_size) cells,
 executes each cell serially (never two at once) with one untimed warm-up
-run plus the configured repetitions, applies outlier rejection to the
+run plus the configured repetitions, applies outlier rejection once to the
 wall-clock series (runs are kept or dropped atomically), derives the
 granularity metrics from the mean timing breakdown, and persists one result
 line per cell so an interrupted sweep can resume. Resume cuts the results
@@ -11,8 +11,9 @@ lines stay, every byte after them goes.
 
 Every problem size gets a p=1 cell, its serial baseline: the same parallel
 code at one worker under the identical protocol, persisted and resumed like
-any other cell. Outliers are rejected by the two-sided Tukey rule, and the
-rejected runs are measured again, for at most MAX_REFILL_ATTEMPTS rounds.
+any other cell. Outliers are rejected by the two-sided Tukey rule; a
+rejected run is counted, not measured again, so a cell makes exactly
+1 + repetitions runs and keeps repetitions - rejected of them.
 
 A k-means cell builds its problem instance (the dataset, and through its
 seed the initial centroids) once, before its warm-up, from (plan seed, size)
@@ -52,9 +53,6 @@ from .workloads import (
 
 log = logging.getLogger("granscale")
 
-#: Extra repetition rounds allowed when refilling rejected measurements.
-MAX_REFILL_ATTEMPTS = 3
-
 WorkloadSpec = Union[KMeansSpec, PiSpec, SyntheticSpec]
 
 
@@ -74,8 +72,8 @@ def _open_run(spec: WorkloadSpec, workers: int, size: int, seed: int) -> RunHand
 
 def _kmeans_cell(wl: KMeansSpec, workers: int, size: int, plan_seed: int):
     # One problem instance per cell: the dataset, and through the seed the
-    # initial centroids. Every run of the cell, warm-up and refills
-    # included, solves it, and so does every other cell of the size.
+    # initial centroids. Every run of the cell, the warm-up included,
+    # solves it, and so does every other cell of the size.
     spec = replace(wl, n_points=size, seed=_instance_seed(plan_seed, size))
     data = generate_dataset(spec)  # untimed: built before the warm-up opens
     return lambda: kmeans_parallel(spec, data, workers,
@@ -191,12 +189,18 @@ class ExperimentPlan:
 
 
 def _check_types(obj) -> None:
-    """Refuse a wrong type in obj's int and bool fields, which JSON fills with 2.5 or "yes"."""
+    """Refuse a wrong type in obj's int, float and bool fields, which JSON fills with 2.5 or "yes".
+
+    A float field takes an int or a float, never a bool; an Optional field may be None.
+    """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        want = bool if f.type == "bool" else int if "int" in f.type else None
+        if value is None and f.type.startswith("Optional["):
+            continue
+        want = ((bool,) if f.type == "bool" else (int,) if "int" in f.type
+                else (int, float) if "float" in f.type else None)
         items = (value or ()) if "tuple" in f.type else (value,)
-        if want and not all(type(v) is want for v in items):
+        if want and not all(type(v) in want for v in items):
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
 
@@ -251,14 +255,18 @@ class CellResult:
         """Inverse of to_dict; only fields with a default may be absent.
 
         Every metrics key is required, including those GranularityMetrics
-        defaults, so a truncated line never loads as a valid cell.
+        defaults, so a truncated line never loads as a valid cell, and a
+        wrongly typed value raises ValueError (see _check_types).
         """
         kwargs = {
             f.name: obj[f.name] if f.default is dataclasses.MISSING else obj.get(f.name, f.default)
             for f in dataclasses.fields(cls) if f.name != "metrics"
         }
         metrics = {f.name: obj[f.name] for f in dataclasses.fields(GranularityMetrics)}
-        return cls(**kwargs, metrics=GranularityMetrics(**metrics))
+        cell = cls(**kwargs, metrics=GranularityMetrics(**metrics))
+        _check_types(cell)
+        _check_types(cell.metrics)
+        return cell
 
 
 @dataclass
@@ -290,27 +298,22 @@ def _instance_seed(plan_seed: int, size: int) -> int:
 def _measure_cell(
     plan: ExperimentPlan, workers: int, size: int, t1: Optional[float]
 ) -> tuple[CellResult, list[RunRecord]]:
-    """Measure one cell; return its result and its kept runs. t1 is the size's p=1 mean wall."""
+    """Measure one cell; return its result and its kept runs. t1 is the size's p=1 mean wall.
+
+    One warm-up, then plan.repetitions runs, filtered once by the Tukey rule:
+    kept + rejected == plan.repetitions.
+    """
     # What the runs share (a k-means instance) lives as long as run(): this
     # frame, so a cell's instance is gone before the next cell builds its own.
     run = _WORKLOADS[type(plan.workload)].cell(plan.workload, workers, size, plan.seed)
     run()  # warm-up
-    records = [run() for _ in range(plan.repetitions)]
-
-    total_rejected = 0
-    for attempt in range(MAX_REFILL_ATTEMPTS + 1):
-        decision = stats.filter_outliers([r.wall_clock for r in records])
-        if not decision.rejected:
-            break
-        # Equal walls share one verdict, so dropping by value is exact.
-        rejected = set(decision.rejected)
-        records = [r for r in records if r.wall_clock not in rejected]
-        total_rejected += len(decision.rejected)
-        if attempt < MAX_REFILL_ATTEMPTS:  # rejected runs are dropped atomically and re-measured
-            records += [run() for _ in decision.rejected]
-    if len(records) < plan.repetitions:
-        log.warning("cell (p=%d, size=%d): reporting with %d/%d samples after outlier rejection",
-                    workers, size, len(records), plan.repetitions)
+    runs = [run() for _ in range(plan.repetitions)]
+    # Equal walls share one verdict, so dropping by value is exact.
+    rejected = set(stats.filter_outliers([r.wall_clock for r in runs]).rejected)
+    records = [r for r in runs if r.wall_clock not in rejected]
+    if rejected:
+        log.info("cell (p=%d, size=%d): kept %d/%d, %d rejected by the Tukey rule",
+                 workers, size, len(records), len(runs), len(runs) - len(records))
 
     mean_wall = float(np.mean([r.wall_clock for r in records]))
     mean_comp = float(np.mean([aggregate(r).total_comp for r in records]))
@@ -324,7 +327,7 @@ def _measure_cell(
         mean_total_comp=mean_comp,
         metrics=metrics,
         kept=len(records),
-        rejected=total_rejected,
+        rejected=len(runs) - len(records),
         actual_speedup=actual,
         relative_error=relative_error(actual, metrics.estimated_speedup),
     )
@@ -352,7 +355,7 @@ def load_results(results_path: Union[str, Path]) -> ResultSet:
             continue
         try:
             cells.append(CellResult.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: corrupt record at line {i}: {exc}") from exc
     return ResultSet(plan=plan, cells=cells)
 
@@ -388,7 +391,9 @@ def run_plan(
 
     Each problem size also gets a p=1 cell, the T_1 of that size's
     actual_speedup; cells run sorted by (workers, size), so a baseline
-    precedes the cells that use it.
+    precedes the cells that use it. A cell makes one warm-up and
+    plan.repetitions runs; those the Tukey rule rejects are counted in its
+    line's rejected and left out of its means and of records_path.
 
     With resume=True, out_path's plan must equal this one, and its cells
     are skipped (its header stays, an older version's included); seeds

@@ -191,23 +191,44 @@ class TestRunPlan:
         resume(tmp_path / "trunc.jsonl")
         assert (tmp_path / "trunc.jsonl").read_text().startswith(prefix)
 
-    def _slow_run_plan(self, monkeypatch, walls, **overrides):
-        # Simulated runs whose wall clocks follow `walls` (warm-up first).
-        walls = iter(walls)
+    def _slow_run_plan(self, monkeypatch, walls, repetitions=5):
+        # Simulated runs whose wall clocks follow `walls`, warm-up first;
+        # returns the one cell and how many runs it made.
+        made = itertools.count()
         real = harness.synthetic_run
 
         def run(spec, workers, handle):
-            return dataclasses.replace(real(spec, workers, handle), wall_clock=next(walls))
+            return dataclasses.replace(real(spec, workers, handle), wall_clock=walls[next(made)])
 
         monkeypatch.setattr(harness, "synthetic_run", run)
         plan = sim_plan(worker_counts=(1,), problem_sizes=(1,), base_problem_size=1,
-                        repetitions=5, **overrides)
-        return run_plan(plan).cells[0]
+                        repetitions=repetitions)
+        return run_plan(plan).cells[0], next(made)
 
-    def test_outlier_dropped_and_refilled(self, monkeypatch):
-        cell = self._slow_run_plan(monkeypatch, [0.006] * 5 + [0.06, 0.006])
-        assert (cell.kept, cell.rejected) == (5, 1)
+    def test_outlier_dropped_not_measured_again(self, monkeypatch):
+        cell, runs = self._slow_run_plan(monkeypatch, [0.006] * 5 + [0.06, 0.006])
+        assert runs == 1 + 5
+        assert (cell.kept, cell.rejected) == (4, 1)
         assert cell.mean_wall == pytest.approx(0.006)
+
+    # Rejections at both ends, two of them equal: the fences close on the
+    # six equal walls.
+    BOTH_ENDS = [0.006, 0.001] + [0.006] * 3 + [0.06] + [0.006] * 3 + [0.06]
+
+    def test_one_pass_of_runs_per_cell(self, monkeypatch):
+        cell, runs = self._slow_run_plan(monkeypatch, self.BOTH_ENDS, repetitions=9)
+        assert runs == 1 + 9
+        assert (cell.kept, cell.rejected) == (6, 3)
+        assert cell.kept + cell.rejected == 9
+        assert cell.mean_wall == pytest.approx(0.006)
+
+    def test_rejections_logged_once_per_cell(self, monkeypatch, caplog):
+        with caplog.at_level(logging.INFO, logger="granscale"):
+            self._slow_run_plan(monkeypatch, self.BOTH_ENDS, repetitions=9)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, "cell 1/1 (p=1, size=1)"),
+            (logging.INFO, "cell (p=1, size=1): kept 6/9, 3 rejected by the Tukey rule"),
+        ]
 
     def test_warns_on_fewer_cpus_than_workers(self, monkeypatch, caplog):
         # The affinity mask, not the host's CPU count, bounds the parallelism.
@@ -610,9 +631,9 @@ class TestKMeansInstance:
         monkeypatch.setattr(harness, "generate_dataset", watched)
         return owners
 
-    def test_one_dataset_per_cell_refills_included(self, monkeypatch):
-        # Warm-up, five runs, one rejected and refilled, in each of two cells.
-        walls = iter(([0.006] * 5 + [0.06, 0.006]) * 2)
+    def test_one_dataset_per_cell(self, monkeypatch):
+        # Warm-up and five runs, one of them rejected, in each of two cells.
+        walls = iter(([0.006] * 5 + [0.06]) * 2)
         real = harness.kmeans_parallel
 
         def slow(spec, data, workers, handle):
@@ -623,7 +644,7 @@ class TestKMeansInstance:
         owners = self._watch_datasets(monkeypatch)
         plan = kmeans_plan(problem_sizes=(2000,), repetitions=5)
         cells = run_plan(plan).cells
-        assert [(c.workers, c.kept, c.rejected) for c in cells] == [(1, 5, 1), (2, 5, 1)]
+        assert [(c.workers, c.kept, c.rejected) for c in cells] == [(1, 4, 1), (2, 4, 1)]
         assert next(walls, None) is None
         assert len(owners) == 2
 
@@ -654,7 +675,7 @@ class TestKMeansInstance:
         run_plan(plan, out_path=out, records_path=records)
 
         def cells_run():
-            # Outlier refills may change how many runs a cell keeps, not what they solve.
+            # Outlier rejection may change how many runs a cell keeps, not what they solve.
             return list(dict.fromkeys((r.workers, r.problem_size, r.seed, r.iterations)
                                       for r in read_runs(records)))
 
@@ -702,15 +723,35 @@ class TestCellResult:
         with pytest.raises(ValueError, match="corrupt record at line 2"):
             load_results(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("workers", "2"),
+        ("mean_wall", "x"),
+        ("kept", 2.5),
+        ("kept", True),
+        ("granularity", False),
+        ("estimated_speedup", None),
+        ("overhead_clamped", 0),
+        ("relative_error", "0.5"),
+    ])
+    def test_wrongly_typed_key(self, tmp_path, key, value):
+        header, first, second = self._results_lines(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        line = json.dumps({**json.loads(second), key: value})
+        bad.write_text("\n".join([header, first, line]) + "\n")
+        with pytest.raises(ValueError, match=f"corrupt record at line 3: {key} must be"):
+            load_results(bad)
+
     def test_optional_keys_default_to_none(self, tmp_path):
         header, first, *_ = self._results_lines(tmp_path)
         obj = json.loads(first)
         assert list(obj)[-2:] == ["actual_speedup", "relative_error"]
         del obj["actual_speedup"], obj["relative_error"]
+        # Absent or null, as older results files hold them.
+        null = {**obj, "actual_speedup": None, "relative_error": None}
         short = tmp_path / "short.jsonl"
-        short.write_text(header + "\n" + json.dumps(obj) + "\n")
-        (cell,) = load_results(short).cells
-        assert (cell.actual_speedup, cell.relative_error) == (None, None)
+        short.write_text(header + "\n" + json.dumps(obj) + "\n" + json.dumps(null) + "\n")
+        cells = load_results(short).cells
+        assert [(c.actual_speedup, c.relative_error) for c in cells] == [(None, None)] * 2
 
 
 # Results file of TestPinnedBytes._plan, byte for byte: simulate mode makes

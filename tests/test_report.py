@@ -209,11 +209,20 @@ class TestReportRows:
 
 
 class TestCliReport:
+    # Wrongly typed values on the p=2 line: each makes it a corrupt record.
+    P2_EDITS = {
+        "workers-string": ("workers", "2"),
+        "mean-wall-string": ("mean_wall", "x"),
+        "kept-fraction": ("kept", 2.5),
+        "kept-bool": ("kept", True),
+    }
+
     @pytest.mark.parametrize("fault, args", [
         pytest.param("missing", [], id="missing"),
         pytest.param("corrupt-line", [], id="corrupt-line"),
         pytest.param("header-only", ["--verdict"], id="verdict-on-header-only"),
         pytest.param("weak-no-baseline", [], id="weak-no-baseline"),
+        *(pytest.param(name, [], id=name) for name in P2_EDITS),
     ])
     def test_rejects_unreadable_results(self, tmp_path, capsys, fault, args):
         infile, out = tmp_path / "r.jsonl", tmp_path / "report.txt"
@@ -227,14 +236,19 @@ class TestCliReport:
         elif fault != "missing":
             run_plan(ExperimentPlan(workload=SIM, mode="strong", worker_counts=(1, 2),
                                     base_problem_size=4, repetitions=2), out_path=infile)
-            header, first = infile.read_text().splitlines()[:2]
+            header, first, second = infile.read_text().splitlines()
             rest = [first, "{not json"] if fault == "corrupt-line" else []
+            if fault in self.P2_EDITS:
+                key, value = self.P2_EDITS[fault]
+                rest = [first, json.dumps({**json.loads(second), key: value})]
             infile.write_text("\n".join([header] + rest) + "\n")
         rc = cli.main(["report", "--in", str(infile), "--out", str(out)] + args)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {infile}: ")
         assert not err.startswith(f"error: {infile}: {infile}")
+        if fault in self.P2_EDITS:
+            assert err.startswith(f"error: {infile}: corrupt record at line 3: ")
         assert not out.exists()
 
     def test_unwritable_out(self, tmp_path, capsys):
