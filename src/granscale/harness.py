@@ -20,7 +20,7 @@ seed the initial centroids) once, before its warm-up, from (plan seed, size)
 alone, and frees it when the cell ends. So every run of a size, at every
 worker count, solves the same instance and repeated runs differ only in
 timing. pi and synthetic runs each take their own seed, from (plan seed,
-workers, size, repetition).
+workers, size, repetition), with repetition 0 for the warm-up.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ WorkloadSpec = Union[KMeansSpec, PiSpec, SyntheticSpec]
 class _Workload(NamedTuple):
     kind: str
     # cell(spec, workers, size, plan seed) runs once per cell, before its
-    # warm-up: it builds what the cell's runs share and returns run(), which
-    # makes one run and returns its record.
-    cell: Callable[[WorkloadSpec, int, int, int], Callable[[], RunRecord]]
+    # warm-up: it builds what the cell's runs share and returns run(rep), which
+    # makes the cell's run number rep (0 is the warm-up) and returns its record.
+    cell: Callable[[WorkloadSpec, int, int, int], Callable[[int], RunRecord]]
 
 
 # The runners look the kernels up as module globals at call time, so
@@ -76,33 +76,28 @@ def _kmeans_cell(wl: KMeansSpec, workers: int, size: int, plan_seed: int):
     # solves it, and so does every other cell of the size.
     spec = replace(wl, n_points=size, seed=_instance_seed(plan_seed, size))
     data = generate_dataset(spec)  # untimed: built before the warm-up opens
-    return lambda: kmeans_parallel(spec, data, workers,
-                                   _open_run(spec, workers, size, spec.seed))[2]
+    return lambda rep: kmeans_parallel(spec, data, workers,
+                                       _open_run(spec, workers, size, spec.seed))[2]
 
 
-def _seeded_per_run(run: Callable[[WorkloadSpec, int, int, int], RunRecord]):
-    """A cell that shares nothing between runs: each run gets its own seed."""
-    def cell(wl: WorkloadSpec, workers: int, size: int, plan_seed: int):
-        reps = itertools.count()  # one seed per repetition; 0 is the warm-up
-        return lambda: run(wl, workers, size, _run_seed(plan_seed, workers, size, next(reps)))
-    return cell
+def _pi_cell(wl: PiSpec, workers: int, size: int, plan_seed: int):
+    def run(rep: int) -> RunRecord:
+        spec = replace(wl, n_samples=size, seed=_run_seed(plan_seed, workers, size, rep))
+        return monte_carlo_pi(spec, workers, _open_run(spec, workers, size, spec.seed))[1]
+    return run
 
 
-def _run_pi(wl: PiSpec, workers: int, size: int, seed: int) -> RunRecord:
-    spec = replace(wl, n_samples=size, seed=seed)
-    return monte_carlo_pi(spec, workers, _open_run(spec, workers, size, seed))[1]
-
-
-def _run_synthetic(wl: SyntheticSpec, workers: int, size: int, seed: int) -> RunRecord:
+def _synthetic_cell(wl: SyntheticSpec, workers: int, size: int, plan_seed: int):
     # Synthetic has no data size; the problem-size axis scales its iterations.
     spec = replace(wl, iterations=size)
-    return synthetic_run(spec, workers, _open_run(spec, workers, size, seed))
+    return lambda rep: synthetic_run(spec, workers, _open_run(
+        spec, workers, size, _run_seed(plan_seed, workers, size, rep)))
 
 
 _WORKLOADS = {
     KMeansSpec: _Workload("kmeans", _kmeans_cell),
-    PiSpec: _Workload("pi", _seeded_per_run(_run_pi)),
-    SyntheticSpec: _Workload("synthetic", _seeded_per_run(_run_synthetic)),
+    PiSpec: _Workload("pi", _pi_cell),
+    SyntheticSpec: _Workload("synthetic", _synthetic_cell),
 }
 
 
@@ -306,8 +301,8 @@ def _measure_cell(
     # What the runs share (a k-means instance) lives as long as run(): this
     # frame, so a cell's instance is gone before the next cell builds its own.
     run = _WORKLOADS[type(plan.workload)].cell(plan.workload, workers, size, plan.seed)
-    run()  # warm-up
-    runs = [run() for _ in range(plan.repetitions)]
+    run(0)  # warm-up
+    runs = [run(rep) for rep in range(1, plan.repetitions + 1)]
     # Equal walls share one verdict, so dropping by value is exact.
     rejected = set(stats.filter_outliers([r.wall_clock for r in runs]).rejected)
     records = [r for r in runs if r.wall_clock not in rejected]
@@ -335,7 +330,7 @@ def _measure_cell(
 
 
 def load_results(results_path: Union[str, Path]) -> ResultSet:
-    """Read a results file back into a ResultSet; a header's plan_hash must match its plan."""
+    """Read a results file into a ResultSet; plan_hash and each workload_id must fit its plan."""
     path = Path(results_path)
     lines = path.read_text().splitlines()
     if not lines:
@@ -354,7 +349,11 @@ def load_results(results_path: Union[str, Path]) -> ResultSet:
         if not line.strip():
             continue
         try:
-            cells.append(CellResult.from_dict(json.loads(line)))
+            cell = CellResult.from_dict(json.loads(line))
+            if cell.workload_id != plan.workload_id:
+                raise ValueError(f"workload_id must be {plan.workload_id!r}, "
+                                 f"got {cell.workload_id!r}")
+            cells.append(cell)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: corrupt record at line {i}: {exc}") from exc
     return ResultSet(plan=plan, cells=cells)
@@ -471,13 +470,16 @@ def run_plan(
     return results
 
 
-def resume(results_path: Union[str, Path]) -> ResultSet:
+def resume(
+    results_path: Union[str, Path], records_path: Optional[Union[str, Path]] = None
+) -> ResultSet:
     """Continue an interrupted sweep; the file's header holds its plan, its only input.
 
     Completed cells are kept verbatim and only missing cells execute. A torn
     final line, left by a crash during its write, is dropped with a warning
     and its cell re-run. A file left empty by a crash during the header's
     write holds no plan; run_plan with the plan and resume=True starts it afresh.
+    records_path, the sweep's records file, is resumed with it as run_plan does.
     """
     if not _cut_to_lines(Path(results_path)):
         raise ValueError(
@@ -485,4 +487,4 @@ def resume(results_path: Union[str, Path]) -> ResultSet:
             f"`granscale run --plan PLAN --out {results_path} --resume`"
         )
     plan = load_results(results_path).plan
-    return run_plan(plan, out_path=results_path, resume=True)
+    return run_plan(plan, out_path=results_path, resume=True, records_path=records_path)

@@ -235,34 +235,28 @@ def kmeans_parallel(
     edges = [0, *accumulate(part_sizes(spec.n_points, workers))]
     k = spec.n_clusters
 
-    partial_counts: list = [None] * workers
-    partial_sums: list = [None] * workers
-    labels_out = np.empty(spec.n_points, dtype=np.int64)
+    partials: list = [None] * workers  # (counts, sums) of each worker
+    labels = np.empty(spec.n_points, dtype=np.intp)
 
     def body(w, barrier):
         lo, hi = edges[w], edges[w + 1]
-        chunk = data[lo:hi]
-        labels = np.empty(hi - lo, dtype=np.intp)
+        chunk, own = data[lo:hi], labels[lo:hi]
         centroids = init.copy()
         iters = 0
         for _ in range(spec.max_iterations):
             with run_handle.span(w, "assign"):
-                _assign(chunk, centroids, out=labels)
+                _assign(chunk, centroids, out=own)
             with run_handle.span(w, "partial_sums"):
-                counts, sums = _partials(chunk, labels, k)
-
-            partial_counts[w] = counts
-            partial_sums[w] = sums
+                partials[w] = _partials(chunk, own, k)
             barrier.wait()  # exchange of partials: untimed, becomes overhead
 
             # Replicated centroid update; worker-order merge keeps every
             # worker's result bit-identical.
             with run_handle.span(w, "update"):
-                total_counts = partial_counts[0].copy()
-                total_sums = partial_sums[0].copy()
-                for other in range(1, workers):
-                    total_counts += partial_counts[other]
-                    total_sums += partial_sums[other]
+                total_counts, total_sums = (a.copy() for a in partials[0])
+                for counts, sums in partials[1:]:
+                    total_counts += counts
+                    total_sums += sums
                 new = _update(total_sums, total_counts, centroids)
                 displacement = float(np.max(np.abs(new - centroids)))
                 centroids = new
@@ -273,9 +267,9 @@ def kmeans_parallel(
                 break
 
         with run_handle.span(w, "assign"):
-            _assign(chunk, centroids, out=labels_out[lo:hi])
+            _assign(chunk, centroids, out=own)
         return centroids, iters  # bit-identical on every worker
 
     centroids, run_handle.iterations = run_workers(workers, body)[0]
     record = run_handle.finish()
-    return centroids, labels_out, record
+    return centroids, labels, record

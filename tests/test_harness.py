@@ -429,6 +429,22 @@ class TestResume:
                 load(bad)
             assert str(exc.value).startswith(f"{bad}: ")
 
+    @pytest.mark.parametrize("kind", [5, "kmeans"])
+    def test_line_of_another_workload_refused(self, tmp_path, capsys, kind):
+        # Its cell key is no cell of the plan: resume must not append that cell again.
+        out = tmp_path / "r.jsonl"
+        run_plan(sim_plan(), out_path=out)
+        lines = out.read_text().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), "workload_id": kind}) + "\n"
+        out.write_text("".join(lines))
+        before = out.read_bytes()
+        for load in (load_results, resume):
+            with pytest.raises(ValueError, match="corrupt record at line 2: workload_id must be"):
+                load(out)
+        assert out.read_bytes() == before
+        assert cli.main(["report", "--in", str(out), "--format", "json"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}: corrupt record at line 2")
+
     def test_resume_plan_mismatch(self, tmp_path):
         # A hash that is not its plan's checksum makes the header corrupt.
         plan, out = self._full_run(tmp_path)
@@ -465,6 +481,16 @@ class TestResume:
         runs = full_runs.splitlines(keepends=True)
         records.write_bytes(b"".join(runs[:9]) + runs[9][:torn])
         run_plan(plan, out_path=out, resume=True, records_path=records)
+        assert out.read_bytes() == full_out
+        assert records.read_bytes() == full_runs
+
+    def test_resume_with_records_path(self, tmp_path):
+        # A sweep cut after its first cell, with the next cell's runs half written.
+        plan, out, records = self._run_with_records(tmp_path)
+        full_out, full_runs = out.read_bytes(), records.read_bytes()
+        out.write_bytes(b"".join(full_out.splitlines(keepends=True)[:2]))
+        records.write_bytes(b"".join(full_runs.splitlines(keepends=True)[:5]))
+        resume(out, records_path=records)
         assert out.read_bytes() == full_out
         assert records.read_bytes() == full_runs
 
@@ -686,6 +712,13 @@ class TestKMeansInstance:
         run_plan(plan, out_path=out, resume=True, records_path=records)
         assert cells_run() == full
 
+    @pytest.mark.parametrize("spec, size", [(PiSpec(n_samples=1000, seed=1), 1000), (SIM, 4)],
+                             ids=["pi", "synthetic"])
+    def test_run_seed_follows_its_rep(self, spec, size):
+        run = harness._WORKLOADS[type(spec)].cell(spec, 2, size, 7)
+        for rep in (3, 0, 5, 1):
+            assert run(rep).seed == harness._run_seed(7, 2, size, rep)
+
     def test_pi_runs_keep_their_own_seeds(self, tmp_path):
         plan = sim_plan(workload=PiSpec(n_samples=1000, seed=1), problem_sizes=(1000,),
                         base_problem_size=1000, repetitions=4)
@@ -732,6 +765,9 @@ class TestCellResult:
         ("estimated_speedup", None),
         ("overhead_clamped", 0),
         ("relative_error", "0.5"),
+        # A line of another workload than the header's plan.
+        ("workload_id", 5),
+        ("workload_id", "kmeans"),
     ])
     def test_wrongly_typed_key(self, tmp_path, key, value):
         header, first, second = self._results_lines(tmp_path)

@@ -401,6 +401,7 @@ class TestKMeansParallel:
             c_p, a_p, _ = _run_kmeans(spec, data, 1)
             assert np.array_equal(c_s, c_p)
             assert np.array_equal(a_s, a_p)
+            assert a_p.dtype == a_s.dtype
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_row_major_input_gives_the_same_result(self, workers):
