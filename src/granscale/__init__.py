@@ -19,8 +19,6 @@ from .measurement import (
     begin_run,
 )
 from .metrics import (
-    FractionEstimate,
-    GranularityMetrics,
     TimingBreakdown,
     amdahl_speedup,
     granularity_metrics,
@@ -32,10 +30,7 @@ from .metrics import (
 from .harness import (
     CellResult,
     ExperimentPlan,
-    ResultSet,
     load_results,
-    plan_cells,
-    plan_hash,
     resume,
     run_plan,
 )
@@ -46,7 +41,6 @@ from .report import (
     weak_scaling_tables,
 )
 from .fixture import validate_fixture
-from .stats import OutlierDecision, filter_outliers, quartiles
 from .workloads import (
     KMeansSpec,
     PiSpec,

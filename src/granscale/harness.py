@@ -205,17 +205,15 @@ def _digest(plan_obj) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def plan_hash(plan: ExperimentPlan) -> str:
-    return _digest(plan.to_dict())
-
-
-def plan_cells(plan: ExperimentPlan) -> list[tuple[int, int]]:
-    """Expand a plan into its own (workers, problem_size) cells; run_plan adds baselines."""
+def _plan_cells(plan: ExperimentPlan) -> list[tuple[int, int]]:
+    """The plan's (workers, problem_size) cells and each size's p=1 baseline, sorted."""
     if plan.mode == "strong":
         sizes = plan.problem_sizes or (plan.base_problem_size,)
-        return [(p, s) for p in plan.worker_counts for s in sorted(sizes)]
-    per_worker = plan.base_problem_size // plan.worker_counts[0]
-    return [(p, per_worker * p) for p in plan.worker_counts]
+        cells = {(p, s) for p in plan.worker_counts for s in sizes}
+    else:
+        per_worker = plan.base_problem_size // plan.worker_counts[0]
+        cells = {(p, per_worker * p) for p in plan.worker_counts}
+    return sorted(cells | {(1, s) for _, s in cells})
 
 
 @dataclass(frozen=True)
@@ -405,8 +403,7 @@ def run_plan(
     sweep rewrites it; a resumed one keeps the runs of the cells taken from
     out_path and drops any bytes after them, a torn line included.
     """
-    cells = plan_cells(plan)
-    cells = sorted(set(cells) | {(1, s) for _, s in cells})
+    cells = _plan_cells(plan)
 
     max_p = max(plan.worker_counts)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -440,7 +437,7 @@ def run_plan(
         if out_path is not None:
             out_file = files.enter_context(out_path.open("w" if prior is None else "a"))
             if prior is None:
-                header = {"plan_hash": plan_hash(plan), "plan": plan.to_dict(),
+                header = {"plan_hash": _digest(plan.to_dict()), "plan": plan.to_dict(),
                           "tool_version": __version__}
                 out_file.write(json.dumps(header) + "\n")
                 out_file.flush()

@@ -111,17 +111,29 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
-        """Inverse of to_json; unknown keys (older records' id and start time) are ignored."""
+        """Inverse of to_json; unknown keys (older records' id and start time) are ignored.
+
+        ValueError refuses a non-int (or bool) count, size, seed or iteration
+        count, a non-number wall clock and a span worker outside 0..workers-1.
+        """
         obj = json.loads(text)
+        workers, wall = obj["workers"], obj["wall_clock_s"]
+        ints = (workers, obj["problem_size"], obj["seed"], obj["iterations"])
+        if not (all(type(v) is int for v in ints) and type(wall) in (int, float)):
+            raise ValueError(f"workers, problem_size, seed and iterations must be ints "
+                             f"and wall_clock_s a number, got {ints} and {wall!r}")
         # Spans are built with no Python call each, then checked once per record.
         spans = tuple(map(tuple.__new__, repeat(Span), map(_SPAN_KEYS, obj["spans"])))
         _check_durations(spans)
+        ids = set(map(_WORKER_ID, spans))
+        if not all(type(i) is int and 0 <= i < workers for i in ids):
+            raise ValueError(f"span workers must lie in 0..{workers - 1}, got {ids}")
         return cls(
             workload_id=obj["workload_id"],
-            workers=obj["workers"],
+            workers=workers,
             problem_size=obj["problem_size"],
             seed=obj["seed"],
-            wall_clock=obj["wall_clock_s"],
+            wall_clock=wall,
             spans=spans,
             iterations=obj["iterations"],
         )

@@ -1,4 +1,4 @@
-"""Repetition statistics: quartiles and Tukey 1.5*IQR outlier rejection.
+"""Repetition statistics: Tukey 1.5*IQR outlier rejection.
 
 Quartiles use linear interpolation on order statistics (the type-7
 convention, numpy's default), stated explicitly so results reproduce
@@ -23,21 +23,15 @@ class OutlierDecision:
     fences: tuple[float, float]
 
 
-def quartiles(values: Sequence[float]) -> tuple[float, float]:
-    """First and third quartile by linear interpolation at positions (n-1)*q."""
-    if len(values) == 0:
-        raise ValueError("quartiles of empty input")
-    q1, q3 = np.quantile(np.asarray(values, dtype=float), [0.25, 0.75])
-    return float(q1), float(q3)
-
-
 def filter_outliers(values: Sequence[float]) -> OutlierDecision:
     """Reject values beyond 1.5 interquartile ranges from the quartiles, on both sides.
 
     This two-sided Tukey rule is the sweep's only outlier rule.
     """
     vals = tuple(float(v) for v in values)
-    q1, q3 = quartiles(vals)
+    if not vals:
+        raise ValueError("outlier filter of empty input")
+    q1, q3 = map(float, np.quantile(vals, [0.25, 0.75]))
     iqr = q3 - q1
     lower, upper = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     if len(vals) < MIN_SAMPLES_FOR_REJECTION:

@@ -1,17 +1,21 @@
-"""The README's CLI synopsis, plan example and JSON report keys match the code."""
+"""The README's CLI synopsis, plan example, JSON report keys and Python API match the code."""
 
 import argparse
+import ast
 import json
 import math
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import granscale
 from granscale import cli, report
 from granscale.harness import ExperimentPlan
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _flags_of_parser(command: str) -> set[str]:
@@ -63,3 +67,32 @@ def test_pi_expectation_matches_the_grid():
     assert int(count.replace(",", "")) == c
     assert value == f"{expected:.{len(value) - 2}f}"
     assert bias == f"{(math.pi - expected) * 10**exponent:.{len(bias) - 2}f}"
+
+
+def test_every_export_is_in_the_readme_or_a_demo():
+    prose = re.sub(r"```.*?```", "", README, flags=re.DOTALL)
+    named = "\n".join(re.findall(r"`([^`]+)`", prose)
+                      + [path.read_text() for path in ROOT.glob("demos/*.py")])
+    exports = [name for name, value in vars(granscale).items()
+               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert [name for name in exports if not re.search(rf"\b{name}\b", named)] == []
+    assert len(exports) == 30
+
+
+def test_bench_and_demo_imports_resolve():
+    # bench/run.py and bench/tracing.py import granscale lazily, inside
+    # functions, so a removed name would only fail when the benchmark runs.
+    imports = [(path.relative_to(ROOT).as_posix(), node.module, alias.name)
+               for path in sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")])
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == "granscale"
+               for alias in node.names]
+    assert ("bench/run.py", "granscale", "kmeans_parallel") in imports
+    missing = []
+    for path, module, name in imports:
+        try:
+            exec(f"from {module} import {name}", {})
+        except ImportError:
+            missing.append((path, module, name))
+    assert missing == []

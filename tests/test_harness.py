@@ -15,8 +15,6 @@ from granscale.harness import (
     CellResult,
     ExperimentPlan,
     load_results,
-    plan_cells,
-    plan_hash,
     resume,
     run_plan,
 )
@@ -36,6 +34,12 @@ def sim_plan(**overrides):
     return ExperimentPlan(**kwargs)
 
 
+def canonical_sha256(plan_obj):
+    """A header's plan_hash: the sha256 of the plan's JSON with sorted keys and no spaces."""
+    return hashlib.sha256(json.dumps(
+        plan_obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 KM_PLAN = sim_plan(workload=KMeansSpec(n_points=100, n_clusters=4, dims=2),
                    problem_sizes=(100,), base_problem_size=100).to_dict()
 
@@ -53,7 +57,7 @@ class TestPlanValidation:
         plan = sim_plan()
         back = ExperimentPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         assert back == plan
-        assert plan_hash(back) == plan_hash(plan)
+        assert canonical_sha256(back.to_dict()) == canonical_sha256(plan.to_dict())
 
     def test_workload_kinds_round_trip(self):
         for wl in (
@@ -94,23 +98,30 @@ class TestPlanValidation:
             ExperimentPlan.from_dict(obj)
 
 
+def cells_run(plan):
+    """The (workers, problem_size) cells a sweep of the plan measures, in order."""
+    return [(c.workers, c.problem_size) for c in run_plan(plan).cells]
+
+
 class TestPlanCells:
     def test_strong_product(self):
-        plan = sim_plan(worker_counts=(2, 4), problem_sizes=(100, 200))
-        cells = plan_cells(plan)
-        assert len(cells) == 4
-        assert set(cells) == {(2, 100), (2, 200), (4, 100), (4, 200)}
+        plan = sim_plan(worker_counts=(2, 4), problem_sizes=(10, 20))
+        cells = cells_run(plan)
+        assert len(cells) == 6
+        assert set(cells) == {(1, 10), (1, 20), (2, 10), (2, 20), (4, 10), (4, 20)}
 
     def test_weak_scaled_sizes(self):
         plan = sim_plan(mode="weak", worker_counts=(8, 16, 32),
-                        base_problem_size=122880, problem_sizes=None)
-        assert plan_cells(plan) == [(8, 122880), (16, 245760), (32, 491520)]
+                        base_problem_size=120, problem_sizes=None)
+        assert cells_run(plan) == [(1, 120), (1, 240), (1, 480),
+                                   (8, 120), (16, 240), (32, 480)]
 
     def test_weak_constant_per_worker_size(self):
         plan = sim_plan(mode="weak", worker_counts=(2, 4, 8),
-                        base_problem_size=100, problem_sizes=None)
-        cells = plan_cells(plan)
-        assert len({size // p for p, size in cells}) == 1
+                        base_problem_size=10, problem_sizes=None)
+        cells = cells_run(plan)
+        assert len({size // p for p, size in cells if p > 1}) == 1
+        assert {(1, size) for _, size in cells} <= set(cells)
 
     def test_weak_indivisible(self):
         # Rejected when the plan is built, before any cell is expanded or run.
@@ -120,7 +131,8 @@ class TestPlanCells:
 
     def test_pure_function(self):
         plan = sim_plan(worker_counts=(1, 2, 4), problem_sizes=(10, 20))
-        assert plan_cells(plan) == plan_cells(plan)
+        assert cells_run(plan) == cells_run(plan) == [
+            (1, 10), (1, 20), (2, 10), (2, 20), (4, 10), (4, 20)]
 
 
 class TestRunPlan:
@@ -173,7 +185,7 @@ class TestRunPlan:
         res = run_plan(plan, out_path=out)
         lines = out.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["plan_hash"] == plan_hash(plan)
+        assert header["plan_hash"] == canonical_sha256(plan.to_dict())
         assert header["plan"] == plan.to_dict()
         assert "tool_version" in header
         assert len(lines) == 1 + len(res.cells)
@@ -886,8 +898,7 @@ class TestRemovedPlanKeys:
     def test_header_with_other_value_refused(self, tmp_path):
         header = json.loads(LEGACY_HEADER)
         header["plan"]["outlier_side"] = "upper"
-        header["plan_hash"] = hashlib.sha256(json.dumps(
-            header["plan"], sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        header["plan_hash"] = canonical_sha256(header["plan"])
         results = tmp_path / "r.jsonl"
         results.write_text(json.dumps(header) + "\n")
         with pytest.raises(ValueError, match="corrupt header at line 1: outlier_side was removed"):

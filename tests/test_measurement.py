@@ -296,3 +296,45 @@ class TestSerialization:
         obj = json.loads(line)
         del obj["run_id"], obj["started_at"]
         assert rec.to_json() == json.dumps(obj)
+
+    @pytest.mark.parametrize("key, value", [
+        ("workers", "2"),
+        ("workers", 2.5),
+        ("workers", True),
+        ("problem_size", 4.0),
+        ("seed", "7"),
+        ("iterations", None),
+        ("wall_clock_s", "1.0"),
+        ("wall_clock_s", False),
+    ])
+    def test_wrongly_typed_field_refused(self, key, value):
+        # A "2" would load and make .flags raise TypeError; a 2.5 would
+        # aggregate to p = 2.5.
+        obj = json.loads(TWO_WORKER_LINE)
+        obj[key] = value
+        with pytest.raises(ValueError, match="must be ints"):
+            RunRecord.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("ids", [(0, 7), (0, -1), (0, 2), ("0", 1), (0, True)],
+                             ids=["7", "negative", "2", "str", "bool"])
+    def test_span_worker_out_of_range_refused(self, ids):
+        # Spans of workers {0, 7} in a 2-worker record left worker 1 without
+        # a span, yet the record carried no incomplete-coverage flag.
+        obj = json.loads(TWO_WORKER_LINE)
+        for span, worker in zip(obj["spans"], ids):
+            span["worker"] = worker
+        with pytest.raises(ValueError, match=r"span workers must lie in 0\.\.1"):
+            RunRecord.from_json(json.dumps(obj))
+
+    def test_integer_wall_clock_loads(self):
+        obj = json.loads(TWO_WORKER_LINE)
+        obj["wall_clock_s"] = 1
+        assert RunRecord.from_json(json.dumps(obj)).wall_clock == 1
+
+
+TWO_WORKER_LINE = (
+    '{"workload_id": "pi", "workers": 2, "problem_size": 8, "seed": 7, '
+    '"wall_clock_s": 1.0, "iterations": 1, "spans": ['
+    '{"worker": 0, "duration_s": 0.5, "phase": "sample"}, '
+    '{"worker": 1, "duration_s": 0.5, "phase": "sample"}]}'
+)

@@ -1,28 +1,30 @@
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from granscale.stats import OutlierDecision, filter_outliers, quartiles
+from granscale.stats import filter_outliers
 
 
 class TestQuartiles:
+    """The fences sit 1.5 IQR outside the type-7 quartiles (interpolated at (n-1)*q)."""
+
     def test_five_values(self):
-        # Hand computation with linear interpolation at (n-1)*q:
-        # positions 1.0 and 3.0 on [1..5].
-        assert quartiles([1, 2, 3, 4, 5]) == (2.0, 4.0)
+        # Quartiles at positions 1.0 and 3.0 on [1..5]: 2 and 4, IQR 2.
+        assert filter_outliers([1, 2, 3, 4, 5]).fences == (-1.0, 7.0)
 
     def test_single_value(self):
-        assert quartiles([7]) == (7.0, 7.0)
+        assert filter_outliers([7]).fences == (7.0, 7.0)
 
     def test_four_values(self):
         # Positions 0.75 and 2.25: 1 + 0.75*(2-1) = 1.75, 3 + 0.25*(4-3) = 3.25.
-        assert quartiles([1, 2, 3, 4]) == (1.75, 3.25)
+        assert filter_outliers([1, 2, 3, 4]).fences == (-0.5, 5.5)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            quartiles([])
+            filter_outliers([])
 
 
 class TestFilterOutliers:
@@ -96,7 +98,7 @@ class TestProperties:
         # kept extremes (e.g. [0, 5, 5, 10] + 5 collapses the fences), but it
         # can never rescue a value that was already rejected.
         d = filter_outliers(values)
-        q1, q3 = quartiles(values)
+        q1, q3 = np.quantile(values, [0.25, 0.75])
         inside = q1 if q1 == q3 else (q1 + q3) / 2.0
         d2 = filter_outliers(list(values) + [inside])
         remaining = list(d2.rejected)
