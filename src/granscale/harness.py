@@ -50,6 +50,7 @@ from .workloads import (
     monte_carlo_pi,
     synthetic_run,
 )
+from .workloads._pool import allowed_cpus
 
 log = logging.getLogger("granscale")
 
@@ -406,8 +407,7 @@ def run_plan(
     cells = _plan_cells(plan)
 
     max_p = max(plan.worker_counts)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    cpus = len(allowed_cpus()) or os.cpu_count() or 1
     if cpus < max_p:
         log.warning(
             "CPUs available to the process: %d, plan asks for %d workers; "

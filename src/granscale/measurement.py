@@ -60,13 +60,18 @@ class Span(_SpanFields):
 
 _DURATION = attrgetter("duration")
 _WORKER_ID = attrgetter("worker_id")
+_NUMBER_TYPES = frozenset((int, float))  # not bool, a subclass of int
+_STR_TYPES = frozenset((str,))
 #: A records-file span's keys, in Span's field order.
 _SPAN_KEYS = itemgetter("worker", "duration_s", "phase")
 
 
-def _check_durations(spans: tuple[Span, ...]) -> None:
-    """Refuse spans holding a negative, NaN or infinite duration anywhere."""
-    durations = list(map(_DURATION, spans))
+def _check_span_fields(durations: tuple, phases: tuple) -> None:
+    """Refuse a duration that is not a finite int or float >= 0, or a phase that is not a str."""
+    if not (_NUMBER_TYPES.issuperset(map(type, durations))
+            and _STR_TYPES.issuperset(map(type, phases))):
+        raise ValueError(f"span durations must be numbers and phases strs, "
+                         f"got {durations} and {phases}")
     # min() alone misses a NaN after the first element (min([1.0, nan]) is
     # 1.0), but the sum carries any NaN or inf to its end.
     if not (min(durations, default=0.0) >= 0 and sum(durations) < math.inf):
@@ -113,29 +118,42 @@ class RunRecord:
     def from_json(cls, text: str) -> "RunRecord":
         """Inverse of to_json; unknown keys (older records' id and start time) are ignored.
 
-        ValueError refuses a non-int (or bool) count, size, seed or iteration
-        count, a non-number wall clock and a span worker outside 0..workers-1.
+        ValueError refuses what RunHandle would not make: a non-str workload
+        id; a non-int (or bool) count, size, seed or iteration count; a
+        count or size below 1 and a negative iteration count; a wall clock
+        that is not a finite number >= 0; and a span whose worker lies
+        outside 0..workers-1, whose duration is not a finite number >= 0, or
+        whose phase is not a str.
         """
         obj = json.loads(text)
-        workers, wall = obj["workers"], obj["wall_clock_s"]
-        ints = (workers, obj["problem_size"], obj["seed"], obj["iterations"])
-        if not (all(type(v) is int for v in ints) and type(wall) in (int, float)):
-            raise ValueError(f"workers, problem_size, seed and iterations must be ints "
-                             f"and wall_clock_s a number, got {ints} and {wall!r}")
-        # Spans are built with no Python call each, then checked once per record.
-        spans = tuple(map(tuple.__new__, repeat(Span), map(_SPAN_KEYS, obj["spans"])))
-        _check_durations(spans)
-        ids = set(map(_WORKER_ID, spans))
+        workload_id, wall = obj["workload_id"], obj["wall_clock_s"]
+        workers, size, seed = obj["workers"], obj["problem_size"], obj["seed"]
+        iterations = obj["iterations"]
+        if not (type(workers) is type(size) is type(seed) is type(iterations) is int
+                and type(wall) in _NUMBER_TYPES and type(workload_id) is str):
+            raise ValueError(f"workers, problem_size, seed and iterations must be ints, "
+                             f"wall_clock_s a number and workload_id a str, got "
+                             f"{(workers, size, seed, iterations)}, {wall!r} and {workload_id!r}")
+        if not (workers >= 1 and size >= 1 and iterations >= 0 and 0 <= wall < math.inf):
+            raise ValueError(f"workers and problem_size must be >= 1, iterations >= 0 and "
+                             f"wall_clock_s finite and >= 0, got {workers}, {size}, "
+                             f"{iterations} and {wall!r}")
+        # One pass splits the spans into columns, each checked in C loops; the
+        # spans are then built with no Python call each.
+        fields = list(map(_SPAN_KEYS, obj["spans"]))
+        ids, durations, phases = zip(*fields) if fields else ((), (), ())
+        _check_span_fields(durations, phases)
+        ids = set(ids)
         if not all(type(i) is int and 0 <= i < workers for i in ids):
             raise ValueError(f"span workers must lie in 0..{workers - 1}, got {ids}")
         return cls(
-            workload_id=obj["workload_id"],
+            workload_id=workload_id,
             workers=workers,
-            problem_size=obj["problem_size"],
-            seed=obj["seed"],
+            problem_size=size,
+            seed=seed,
             wall_clock=wall,
-            spans=spans,
-            iterations=obj["iterations"],
+            spans=tuple(map(tuple.__new__, repeat(Span), fields)),
+            iterations=iterations,
         )
 
 

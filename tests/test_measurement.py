@@ -326,6 +326,53 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"span workers must lie in 0\.\.1"):
             RunRecord.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("key, value", [
+        ("workers", 0),
+        ("workers", -2),
+        ("problem_size", 0),
+        ("iterations", -1),
+        ("wall_clock_s", -1.0),
+        ("wall_clock_s", math.nan),
+        ("wall_clock_s", math.inf),
+    ])
+    def test_out_of_range_field_refused(self, key, value):
+        # RunHandle refuses workers and problem_size below 1; a run counts
+        # iterations up from 0 and its wall clock is a finite time.
+        obj = json.loads(TWO_WORKER_LINE)
+        obj[key] = value
+        with pytest.raises(ValueError, match=">= 1, iterations >= 0"):
+            RunRecord.from_json(json.dumps(obj))
+
+    def test_non_str_workload_id_refused(self):
+        obj = json.loads(TWO_WORKER_LINE)
+        obj["workload_id"] = 5
+        with pytest.raises(ValueError, match="workload_id a str"):
+            RunRecord.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("key, value", [
+        ("phase", 3),
+        ("phase", None),
+        ("duration_s", True),
+        ("duration_s", False),
+        ("duration_s", "0.5"),
+        ("duration_s", None),
+    ])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_wrongly_typed_span_field_refused(self, key, value, position):
+        # A true duration loaded as the span's duration True, and "0.5"
+        # raised TypeError from the range check's comparison.
+        obj = json.loads(TWO_WORKER_LINE)
+        obj["spans"][position][key] = value
+        with pytest.raises(ValueError, match="durations must be numbers and phases strs"):
+            RunRecord.from_json(json.dumps(obj))
+
+    def test_boundary_values_load(self):
+        obj = json.loads(TWO_WORKER_LINE)
+        obj.update(workers=1, problem_size=1, iterations=0, wall_clock_s=0.0, seed=-3)
+        obj["spans"] = [{"worker": 0, "duration_s": 0, "phase": ""}]
+        rec = RunRecord.from_json(json.dumps(obj))
+        assert rec == RunRecord("pi", 1, 1, -3, 0.0, (Span(0, 0, ""),), 0)
+
     def test_integer_wall_clock_loads(self):
         obj = json.loads(TWO_WORKER_LINE)
         obj["wall_clock_s"] = 1

@@ -373,23 +373,117 @@ class TestPool:
     @pytest.mark.parametrize("failing", ["first", "last"])
     def test_worker_error_reaches_caller(self, p, failing):
         bad = 0 if failing == "first" else p - 1
-
-        def body(w, barrier):
-            if w != bad:
-                barrier.wait(timeout=30)  # bounds a deadlock; the abort must end it first
-                return
-            deadline = time.monotonic() + 10
-            while barrier.n_waiting < p - 1 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            raise KeyError(w)
-
         t0 = time.monotonic()
         with pytest.raises(KeyError) as excinfo:
-            run_workers(p, body)
+            run_workers(p, _failing_body(p, bad))
         assert excinfo.value.args == (bad,)
         assert time.monotonic() - t0 < 20
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("granscale-worker-")]
+
+
+def _failing_body(p, bad):
+    """A body whose worker `bad` raises KeyError(bad) once its p-1 peers wait."""
+    def body(w, barrier):
+        if w != bad:
+            barrier.wait(timeout=30)  # bounds a deadlock; the abort must end it first
+            return
+        deadline = time.monotonic() + 10
+        while barrier.n_waiting < p - 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        raise KeyError(w)
+
+    return body
+
+
+class TestPinning:
+    """Worker w of a 2 <= p <= |mask| run pins itself to the mask's w-th CPU."""
+
+    @pytest.fixture
+    def pins(self, monkeypatch):
+        """Fake a CPU mask of 0-3 and log every set call as (thread name, mask)."""
+        calls = []
+        self.fake_mask(monkeypatch, {0, 1, 2, 3})
+
+        def record(pid, cpus):
+            assert pid == 0
+            calls.append((threading.current_thread().name, set(cpus)))
+
+        monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
+        return calls
+
+    @staticmethod
+    def fake_mask(monkeypatch, mask):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+
+    @staticmethod
+    def name(w):
+        return threading.current_thread().name if w == 0 else f"granscale-worker-{w}"
+
+    @staticmethod
+    def meet(w, barrier):
+        barrier.wait(timeout=30)  # every worker is pinned before worker 0 restores
+        return w
+
+    @pytest.mark.parametrize("mask, p", [({0, 1, 2, 3}, 2), ({0, 1, 2, 3}, 4),
+                                         ({3, 0, 2}, 3), ({1, 3}, 2)])
+    def test_each_worker_pinned_once_then_mask_restored(self, pins, monkeypatch, mask, p):
+        self.fake_mask(monkeypatch, mask)
+        cpus = sorted(mask)
+        assert run_workers(p, self.meet) == list(range(p))
+        assert sorted(pins[:-1]) == sorted((self.name(w), {cpus[w]}) for w in range(p))
+        assert pins[-1] == (self.name(0), mask)
+
+    def test_mask_1_3_maps_workers_to_cpus_1_and_3(self, pins, monkeypatch):
+        self.fake_mask(monkeypatch, {1, 3})
+        run_workers(2, self.meet)
+        assert sorted(pins[:-1]) == [(self.name(0), {1}), ("granscale-worker-1", {3})]
+
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    def test_mask_restored_after_a_failing_run(self, pins, failing):
+        p = 2
+        with pytest.raises(KeyError):
+            run_workers(p, _failing_body(p, 0 if failing == "first" else p - 1))
+        assert len(pins) == p + 1
+        assert pins[-1] == (self.name(0), {0, 1, 2, 3})
+
+    def test_pin_error_reaches_caller(self, pins, monkeypatch):
+        record = os.sched_setaffinity
+
+        def refuse_cpu_1(pid, cpus):
+            record(pid, cpus)
+            if set(cpus) == {1}:
+                raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse_cpu_1)
+        with pytest.raises(OSError):
+            run_workers(2, self.meet)
+        assert pins[-1] == (self.name(0), {0, 1, 2, 3})
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("granscale-worker-")]
+
+    @pytest.mark.parametrize("mask, p", [({0, 1, 2, 3}, 1), ({0}, 2), ({0, 1}, 3),
+                                         ({2, 5}, 4)])
+    def test_no_pin_at_one_worker_or_more_workers_than_cpus(self, pins, monkeypatch,
+                                                            mask, p):
+        self.fake_mask(monkeypatch, mask)
+        assert run_workers(p, self.meet) == list(range(p))
+        assert pins == []
+
+    def test_no_pin_without_sched_setaffinity(self, pins, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert run_workers(2, self.meet) == [0, 1]
+        assert pins == []
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs an affinity mask of at least 2 CPUs")
+    def test_real_run_pins_two_workers_to_two_cpus(self):
+        before = os.sched_getaffinity(0)
+        masks = run_workers(2, lambda w, barrier: os.sched_getaffinity(0))
+        assert all(len(m) == 1 for m in masks)
+        assert masks[0] != masks[1]
+        assert masks[0] | masks[1] <= before
+        assert os.sched_getaffinity(0) == before
 
 
 class TestKMeansParallel:
