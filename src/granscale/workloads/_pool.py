@@ -5,13 +5,16 @@ per run, so a one-worker run starts none. Each body gets (worker_id, barrier),
 and the results come back in worker order. A failing worker aborts the barrier
 so its peers cannot deadlock, and the first exception is re-raised in the caller.
 
-When 2 <= p <= the number of CPUs in the process's affinity mask, worker w
-pins itself to the w-th CPU of the sorted mask before its body runs, so the
+When p >= 2 equals the number of CPUs in the process's affinity mask, worker
+w pins itself to the w-th CPU of the sorted mask before its body runs, so the
 pin falls outside every span. Without it the kernel wakes a worker handed
 the GIL on its waker's CPU, and both workers queue on one core. Worker 0
-restores the caller's mask before the others are joined. A one-worker run,
-a run with more workers than CPUs, and a platform without
-`os.sched_setaffinity` pin nothing.
+restores the caller's mask before the others are joined. Every CPU of the
+mask is then in use, so the fixed placement leaves none idle. A run with
+fewer workers than CPUs pins nothing: the scheduler keeps its choice of idle
+CPUs, which matters when other runs share the mask. A one-worker run, a run
+with more workers than CPUs, and a platform without affinity calls pin
+nothing either.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ def run_workers(workers: int, body: Callable[[int, threading.Barrier], object]) 
     barrier = threading.Barrier(workers)
     results: list = [None] * workers
     errors: list[BaseException] = []
-    cpus = allowed_cpus() if workers > 1 and hasattr(os, "sched_setaffinity") else []
-    pin = workers <= len(cpus)
+    cpus = allowed_cpus() if workers > 1 else []
+    pin = workers == len(cpus)
 
     def trampoline(worker_id: int) -> None:
         try:

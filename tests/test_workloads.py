@@ -397,13 +397,13 @@ def _failing_body(p, bad):
 
 
 class TestPinning:
-    """Worker w of a 2 <= p <= |mask| run pins itself to the mask's w-th CPU."""
+    """Worker w of a run with p >= 2 = |mask| pins itself to the mask's w-th CPU."""
 
     @pytest.fixture
     def pins(self, monkeypatch):
-        """Fake a CPU mask of 0-3 and log every set call as (thread name, mask)."""
+        """Fake a CPU mask of {0, 1} and log every set call as (thread name, mask)."""
         calls = []
-        self.fake_mask(monkeypatch, {0, 1, 2, 3})
+        self.fake_mask(monkeypatch, {0, 1})
 
         def record(pid, cpus):
             assert pid == 0
@@ -425,7 +425,7 @@ class TestPinning:
         barrier.wait(timeout=30)  # every worker is pinned before worker 0 restores
         return w
 
-    @pytest.mark.parametrize("mask, p", [({0, 1, 2, 3}, 2), ({0, 1, 2, 3}, 4),
+    @pytest.mark.parametrize("mask, p", [({0, 1}, 2), ({0, 1, 2, 3}, 4),
                                          ({3, 0, 2}, 3), ({1, 3}, 2)])
     def test_each_worker_pinned_once_then_mask_restored(self, pins, monkeypatch, mask, p):
         self.fake_mask(monkeypatch, mask)
@@ -445,7 +445,7 @@ class TestPinning:
         with pytest.raises(KeyError):
             run_workers(p, _failing_body(p, 0 if failing == "first" else p - 1))
         assert len(pins) == p + 1
-        assert pins[-1] == (self.name(0), {0, 1, 2, 3})
+        assert pins[-1] == (self.name(0), {0, 1})
 
     def test_pin_error_reaches_caller(self, pins, monkeypatch):
         record = os.sched_setaffinity
@@ -458,32 +458,38 @@ class TestPinning:
         monkeypatch.setattr(os, "sched_setaffinity", refuse_cpu_1)
         with pytest.raises(OSError):
             run_workers(2, self.meet)
-        assert pins[-1] == (self.name(0), {0, 1, 2, 3})
+        assert pins[-1] == (self.name(0), {0, 1})
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("granscale-worker-")]
 
     @pytest.mark.parametrize("mask, p", [({0, 1, 2, 3}, 1), ({0}, 2), ({0, 1}, 3),
-                                         ({2, 5}, 4)])
-    def test_no_pin_at_one_worker_or_more_workers_than_cpus(self, pins, monkeypatch,
-                                                            mask, p):
+                                         ({2, 5}, 4), ({0, 1, 2, 3}, 2), ({0, 1, 2}, 2),
+                                         ({0, 1, 2, 3}, 3)])
+    def test_no_pin_unless_workers_equal_cpus(self, pins, monkeypatch, mask, p):
         self.fake_mask(monkeypatch, mask)
         assert run_workers(p, self.meet) == list(range(p))
         assert pins == []
 
-    def test_no_pin_without_sched_setaffinity(self, pins, monkeypatch):
-        monkeypatch.delattr(os, "sched_setaffinity")
+    def test_no_pin_on_a_platform_without_affinity_calls(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         assert run_workers(2, self.meet) == [0, 1]
-        assert pins == []
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="needs an affinity mask of at least 2 CPUs")
     def test_real_run_pins_two_workers_to_two_cpus(self):
         before = os.sched_getaffinity(0)
-        masks = run_workers(2, lambda w, barrier: os.sched_getaffinity(0))
+        two = set(sorted(before)[:2])
+        os.sched_setaffinity(0, two)  # a mask of exactly p CPUs, whatever the host has
+        try:
+            masks = run_workers(2, lambda w, barrier: os.sched_getaffinity(0))
+            after = os.sched_getaffinity(0)
+        finally:
+            os.sched_setaffinity(0, before)
         assert all(len(m) == 1 for m in masks)
         assert masks[0] != masks[1]
-        assert masks[0] | masks[1] <= before
-        assert os.sched_getaffinity(0) == before
+        assert masks[0] | masks[1] == two
+        assert after == two
 
 
 class TestKMeansParallel:
