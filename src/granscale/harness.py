@@ -31,6 +31,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,7 +40,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import __version__, stats
-from .measurement import SEED_MASK, RunHandle, RunRecord, aggregate, begin_run
+from .measurement import SEED_MASK, RunHandle, RunRecord, _check_types, aggregate, begin_run
 from .metrics import GranularityMetrics, TimingBreakdown, granularity_metrics, relative_error
 from .workloads import (
     KMeansSpec,
@@ -122,7 +123,6 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self):
-        _check_types(self.workload)
         _check_types(self)
         if self.mode not in ("strong", "weak"):
             raise ValueError(f"mode must be 'strong' or 'weak', got {self.mode}")
@@ -184,22 +184,6 @@ class ExperimentPlan:
         return cls(**kwargs)
 
 
-def _check_types(obj) -> None:
-    """Refuse a wrong type in obj's int, float and bool fields, which JSON fills with 2.5 or "yes".
-
-    A float field takes an int or a float, never a bool; an Optional field may be None.
-    """
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if value is None and f.type.startswith("Optional["):
-            continue
-        want = ((bool,) if f.type == "bool" else (int,) if "int" in f.type
-                else (int, float) if "float" in f.type else None)
-        items = (value or ()) if "tuple" in f.type else (value,)
-        if want and not all(type(v) in want for v in items):
-            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-
-
 def _digest(plan_obj) -> str:
     """sha256 of a plan's canonical JSON: the plan_hash of a header's plan."""
     canonical = json.dumps(plan_obj, sort_keys=True, separators=(",", ":"))
@@ -249,8 +233,11 @@ class CellResult:
         """Inverse of to_dict; only fields with a default may be absent.
 
         Every metrics key is required, including those GranularityMetrics
-        defaults, so a truncated line never loads as a valid cell, and a
-        wrongly typed value raises ValueError (see _check_types).
+        defaults, so a truncated line never loads as a valid cell. ValueError
+        refuses a wrongly typed value (see _check_types) and a value
+        _measure_cell never writes: workers, problem_size or kept below 1,
+        rejected below 0, a mean_wall that is not finite and > 0, and a
+        mean_total_comp that is not finite and >= 0.
         """
         kwargs = {
             f.name: obj[f.name] if f.default is dataclasses.MISSING else obj.get(f.name, f.default)
@@ -259,7 +246,13 @@ class CellResult:
         metrics = {f.name: obj[f.name] for f in dataclasses.fields(GranularityMetrics)}
         cell = cls(**kwargs, metrics=GranularityMetrics(**metrics))
         _check_types(cell)
-        _check_types(cell.metrics)
+        if not (min(cell.workers, cell.problem_size, cell.kept) >= 1 and cell.rejected >= 0
+                and 0 < cell.mean_wall < math.inf and 0 <= cell.mean_total_comp < math.inf):
+            raise ValueError(
+                f"workers, problem_size and kept must be >= 1, rejected >= 0, mean_wall "
+                f"finite and > 0 and mean_total_comp finite and >= 0, got {cell.workers}, "
+                f"{cell.problem_size}, {cell.kept}, {cell.rejected}, {cell.mean_wall!r} "
+                f"and {cell.mean_total_comp!r}")
         return cell
 
 

@@ -18,14 +18,16 @@ negative, NaN or infinite duration is refused where a span is made: by
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from operator import attrgetter, itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .metrics import TimingBreakdown
 
@@ -60,23 +62,51 @@ class Span(_SpanFields):
 
 _DURATION = attrgetter("duration")
 _WORKER_ID = attrgetter("worker_id")
-_NUMBER_TYPES = frozenset((int, float))  # not bool, a subclass of int
-_STR_TYPES = frozenset((str,))
-#: A records-file span's keys, in Span's field order.
-_SPAN_KEYS = itemgetter("worker", "duration_s", "phase")
+
+#: The one type rule of every record read from JSON: the types json.loads gives
+#: that each annotation accepts. bool, a subclass of int, is neither int nor float.
+_JSON_TYPES = {int: {int}, float: {int, float}, bool: {bool}, str: {str}, type(None): {type(None)}}
 
 
-def _check_span_fields(durations: tuple, phases: tuple) -> None:
-    """Refuse a duration that is not a finite int or float >= 0, or a phase that is not a str."""
-    if not (_NUMBER_TYPES.issuperset(map(type, durations))
-            and _STR_TYPES.issuperset(map(type, phases))):
-        raise ValueError(f"span durations must be numbers and phases strs, "
-                         f"got {durations} and {phases}")
-    # min() alone misses a NaN after the first element (min([1.0, nan]) is
-    # 1.0), but the sum carries any NaN or inf to its end.
-    if not (min(durations, default=0.0) >= 0 and sum(durations) < math.inf):
-        bad = [d for d in durations if not 0 <= d < math.inf] or durations
-        raise ValueError(f"span durations must be finite and >= 0, got {bad}")
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _wrong_type(key: str, tp, value) -> ValueError:
+    name = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+    return ValueError(f"{key} must be {name}, got {value!r}")
+
+
+def _is(value, tp) -> bool:
+    """Whether value is a tp by _JSON_TYPES.
+
+    Optional[X] takes None or an X, tuple[X, ...] a tuple or a JSON list of
+    X, and dict[K, V] keys K and values V. A record type (a dataclass, or a
+    Union of them) takes an instance whose fields _check_types accepts.
+    """
+    if tp in _JSON_TYPES:
+        return type(value) in _JSON_TYPES[tp]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:
+        return any(_is(value, arg) for arg in args)
+    if origin is tuple:
+        return type(value) in (tuple, list) and all(_is(v, args[0]) for v in value)
+    if origin is dict:
+        return type(value) is dict and all(_is(k, args[0]) and _is(v, args[1])
+                                           for k, v in value.items())
+    if type(value) is not tp:
+        return False
+    _check_types(value)  # raises, naming the record's wrong field
+    return True
+
+
+def _check_types(obj) -> None:
+    """Refuse with ValueError a field of obj whose value its annotation does not accept."""
+    for name, tp in _hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not _is(value, tp):
+            raise _wrong_type(name, tp, value)
 
 
 @dataclass(frozen=True)
@@ -118,43 +148,67 @@ class RunRecord:
     def from_json(cls, text: str) -> "RunRecord":
         """Inverse of to_json; unknown keys (older records' id and start time) are ignored.
 
-        ValueError refuses what RunHandle would not make: a non-str workload
-        id; a non-int (or bool) count, size, seed or iteration count; a
-        count or size below 1 and a negative iteration count; a wall clock
-        that is not a finite number >= 0; and a span whose worker lies
-        outside 0..workers-1, whose duration is not a finite number >= 0, or
-        whose phase is not a str.
+        ValueError refuses a line that is not an object holding every key
+        to_json writes; a value its field's annotation does not accept, by
+        the rule of _JSON_TYPES; and what RunHandle would not make: a count
+        or size below 1, a negative iteration count, a wall clock or span
+        duration that is not finite and >= 0, and a span worker outside
+        0..workers-1.
         """
-        obj = json.loads(text)
-        workload_id, wall = obj["workload_id"], obj["wall_clock_s"]
-        workers, size, seed = obj["workers"], obj["problem_size"], obj["seed"]
-        iterations = obj["iterations"]
-        if not (type(workers) is type(size) is type(seed) is type(iterations) is int
-                and type(wall) in _NUMBER_TYPES and type(workload_id) is str):
-            raise ValueError(f"workers, problem_size, seed and iterations must be ints, "
-                             f"wall_clock_s a number and workload_id a str, got "
-                             f"{(workers, size, seed, iterations)}, {wall!r} and {workload_id!r}")
+        try:
+            obj = json.loads(text)
+            values = _record_values(obj)
+            # One pass splits the spans into columns, each checked in C loops,
+            # the worker ids once each; the spans are then built with no
+            # Python call each.
+            fields = list(map(_span_values, obj["spans"]))
+            ids, durations, phases = zip(*fields) if fields else ((), (), ())
+            ids = set(ids)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a run record: {exc!r}") from exc
+        if tuple(map(type, values)) not in _RECORD_SIGNATURES:
+            raise _wrong_column_type(_RECORD_KEYS, _RECORD_TYPES, zip(values))
+        worker_types, duration_types, phase_types = _SPAN_TYPES
+        if not (worker_types.issuperset(map(type, ids))
+                and duration_types.issuperset(map(type, durations))
+                and phase_types.issuperset(map(type, phases))):
+            raise _wrong_column_type(_SPAN_KEYS, _SPAN_TYPES, (ids, durations, phases))
+        workload_id, workers, size, seed, wall, iterations = values
         if not (workers >= 1 and size >= 1 and iterations >= 0 and 0 <= wall < math.inf):
             raise ValueError(f"workers and problem_size must be >= 1, iterations >= 0 and "
                              f"wall_clock_s finite and >= 0, got {workers}, {size}, "
                              f"{iterations} and {wall!r}")
-        # One pass splits the spans into columns, each checked in C loops; the
-        # spans are then built with no Python call each.
-        fields = list(map(_SPAN_KEYS, obj["spans"]))
-        ids, durations, phases = zip(*fields) if fields else ((), (), ())
-        _check_span_fields(durations, phases)
-        ids = set(ids)
-        if not all(type(i) is int and 0 <= i < workers for i in ids):
+        # min() alone misses a NaN after the first element (min([1.0, nan]) is
+        # 1.0), but the sum carries any NaN or inf to its end.
+        if not (min(durations, default=0.0) >= 0 and sum(durations) < math.inf):
+            bad = [d for d in durations if not 0 <= d < math.inf] or durations
+            raise ValueError(f"span durations must be finite and >= 0, got {bad}")
+        if not all(0 <= i < workers for i in ids):
             raise ValueError(f"span workers must lie in 0..{workers - 1}, got {ids}")
-        return cls(
-            workload_id=workload_id,
-            workers=workers,
-            problem_size=size,
-            seed=seed,
-            wall_clock=wall,
-            spans=tuple(map(tuple.__new__, repeat(Span), fields)),
-            iterations=iterations,
-        )
+        return cls(workload_id, workers, size, seed, wall,
+                   tuple(map(tuple.__new__, repeat(Span), fields)), iterations)
+
+
+#: A records line's key and its field's annotation, for each field of
+#: RunRecord but spans and for each field of Span, and the types each accepts.
+_RECORD_KEYS = tuple((key, _hints(RunRecord)[name]) for name, key in (
+    ("workload_id", "workload_id"), ("workers", "workers"), ("problem_size", "problem_size"),
+    ("seed", "seed"), ("wall_clock", "wall_clock_s"), ("iterations", "iterations")))
+_SPAN_KEYS = tuple((key, _hints(Span)[name]) for name, key in (
+    ("worker_id", "worker"), ("duration", "duration_s"), ("phase_label", "phase")))
+_RECORD_TYPES = tuple(_JSON_TYPES[tp] for _, tp in _RECORD_KEYS)
+_RECORD_SIGNATURES = set(product(*_RECORD_TYPES))  # the scalars' type tuples
+_SPAN_TYPES = tuple(_JSON_TYPES[tp] for _, tp in _SPAN_KEYS)
+_record_values = itemgetter(*(key for key, _ in _RECORD_KEYS))
+_span_values = itemgetter(*(key for key, _ in _SPAN_KEYS))
+
+
+def _wrong_column_type(keys, types, columns) -> ValueError:
+    """The error for the first value, column by column, that its key's types do not hold."""
+    for (key, tp), accepted, column in zip(keys, types, columns):
+        for value in column:
+            if type(value) not in accepted:
+                return _wrong_type(key, tp, value)
 
 
 class RunHandle:

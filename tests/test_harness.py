@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import weakref
 
 import pytest
@@ -789,6 +790,39 @@ class TestCellResult:
         with pytest.raises(ValueError, match=f"corrupt record at line 3: {key} must be"):
             load_results(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("workers", 0),
+        ("problem_size", 0),
+        ("kept", 0),
+        ("kept", -1),
+        ("rejected", -1),
+        ("mean_wall", 0.0),
+        ("mean_wall", -1.0),
+        ("mean_wall", math.nan),
+        ("mean_wall", math.inf),
+        ("mean_total_comp", -1.0),
+        ("mean_total_comp", math.nan),
+        ("mean_total_comp", math.inf),
+    ])
+    def test_out_of_range_value(self, tmp_path, key, value):
+        # _measure_cell writes none of these values.
+        header, first, second = self._results_lines(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        line = json.dumps({**json.loads(second), key: value})
+        bad.write_text("\n".join([header, first, line]) + "\n")
+        with pytest.raises(ValueError, match="corrupt record at line 3: workers, problem_size "
+                                             "and kept must be >= 1"):
+            load_results(bad)
+
+    def test_infinite_granularity_loads(self, tmp_path):
+        # An overhead below the timer floor gives G = inf, written as Infinity.
+        header, first, second = self._results_lines(tmp_path)
+        line = json.dumps({**json.loads(second), "granularity": math.inf, "efficiency": 1.0})
+        assert "Infinity" in line
+        path = tmp_path / "inf.jsonl"
+        path.write_text("\n".join([header, first, line]) + "\n")
+        assert load_results(path).cells[1].metrics.granularity == math.inf
+
     def test_optional_keys_default_to_none(self, tmp_path):
         header, first, *_ = self._results_lines(tmp_path)
         obj = json.loads(first)
@@ -800,6 +834,40 @@ class TestCellResult:
         short.write_text(header + "\n" + json.dumps(obj) + "\n" + json.dumps(null) + "\n")
         cells = load_results(short).cells
         assert [(c.actual_speedup, c.relative_error) for c in cells] == [(None, None)] * 2
+
+
+
+class TestOneTypeRule:
+    """The plan header, a results line and a records line refuse a wrong type alike."""
+
+    # Per reader: the int field and the str field given the wrong values.
+    FIELDS = {"header": ("repetitions", "mode"), "line": ("kept", "workload_id"),
+              "records": ("workers", "workload_id")}
+
+    @pytest.mark.parametrize("value, want", [(True, "int"), ("2", "int"), (5, "str"),
+                                             (None, "int")], ids=["true", "str-2", "5", "null"])
+    @pytest.mark.parametrize("reader", list(FIELDS))
+    def test_wrong_type_named(self, tmp_path, reader, value, want):
+        key = self.FIELDS[reader][want == "str"]
+        out, records = tmp_path / "r.jsonl", tmp_path / "runs.jsonl"
+        run_plan(sim_plan(), out_path=out, records_path=records)
+        header, *lines = out.read_text().splitlines()
+        message = f"{key} must be {want}, got {value!r}"
+        if reader == "records":
+            obj = {**json.loads(records.read_text().splitlines()[0]), key: value}
+            with pytest.raises(ValueError, match=re.escape(message)):
+                RunRecord.from_json(json.dumps(obj))
+            return
+        if reader == "header":
+            plan = {**json.loads(header)["plan"], key: value}
+            header = json.dumps({"plan_hash": canonical_sha256(plan), "plan": plan})
+            where = "header at line 1"
+        else:
+            lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+            where = "record at line 2"
+        out.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"corrupt {where}: {message}")):
+            load_results(out)
 
 
 # Results file of TestPinnedBytes._plan, byte for byte: simulate mode makes

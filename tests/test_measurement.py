@@ -2,6 +2,8 @@ import json
 import math
 import threading
 import time
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -9,6 +11,7 @@ from granscale.measurement import (
     INCOMPLETE_COVERAGE,
     RunRecord,
     Span,
+    _check_types,
     aggregate,
     begin_run,
 )
@@ -312,18 +315,23 @@ class TestSerialization:
         # aggregate to p = 2.5.
         obj = json.loads(TWO_WORKER_LINE)
         obj[key] = value
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match=f"^{key} must be (int|float), got "):
             RunRecord.from_json(json.dumps(obj))
 
-    @pytest.mark.parametrize("ids", [(0, 7), (0, -1), (0, 2), ("0", 1), (0, True)],
-                             ids=["7", "negative", "2", "str", "bool"])
-    def test_span_worker_out_of_range_refused(self, ids):
+    @pytest.mark.parametrize("ids, match", [
+        ((0, 7), r"span workers must lie in 0\.\.1"),
+        ((0, -1), r"span workers must lie in 0\.\.1"),
+        ((0, 2), r"span workers must lie in 0\.\.1"),
+        (("0", 1), "worker must be int, got '0'"),
+        ((0, True), "worker must be int, got True"),
+    ], ids=["7", "negative", "2", "str", "bool"])
+    def test_span_worker_out_of_range_refused(self, ids, match):
         # Spans of workers {0, 7} in a 2-worker record left worker 1 without
         # a span, yet the record carried no incomplete-coverage flag.
         obj = json.loads(TWO_WORKER_LINE)
         for span, worker in zip(obj["spans"], ids):
             span["worker"] = worker
-        with pytest.raises(ValueError, match=r"span workers must lie in 0\.\.1"):
+        with pytest.raises(ValueError, match=match):
             RunRecord.from_json(json.dumps(obj))
 
     @pytest.mark.parametrize("key, value", [
@@ -346,7 +354,7 @@ class TestSerialization:
     def test_non_str_workload_id_refused(self):
         obj = json.loads(TWO_WORKER_LINE)
         obj["workload_id"] = 5
-        with pytest.raises(ValueError, match="workload_id a str"):
+        with pytest.raises(ValueError, match="workload_id must be str, got 5"):
             RunRecord.from_json(json.dumps(obj))
 
     @pytest.mark.parametrize("key, value", [
@@ -363,8 +371,21 @@ class TestSerialization:
         # raised TypeError from the range check's comparison.
         obj = json.loads(TWO_WORKER_LINE)
         obj["spans"][position][key] = value
-        with pytest.raises(ValueError, match="durations must be numbers and phases strs"):
+        with pytest.raises(ValueError, match=f"^{key} must be (float|str), got "):
             RunRecord.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: {**obj, "spans": None},
+        lambda obj: {**obj, "spans": [5, obj["spans"][1]]},
+        lambda obj: {**obj, "spans": [{**obj["spans"][0], "worker": [0]}, obj["spans"][1]]},
+        lambda obj: {k: v for k, v in obj.items() if k != "seed"},
+        lambda obj: {**obj, "spans": [obj["spans"][0], {"worker": 1, "duration_s": 0.5}]},
+        lambda obj: [1],
+    ], ids=["spans-null", "span-5", "worker-list", "no-seed", "span-without-phase", "list"])
+    def test_malformed_line_refused(self, edit):
+        # Each raised TypeError or KeyError, so a reader had to catch three types.
+        with pytest.raises(ValueError):
+            RunRecord.from_json(json.dumps(edit(json.loads(TWO_WORKER_LINE))))
 
     def test_boundary_values_load(self):
         obj = json.loads(TWO_WORKER_LINE)
@@ -385,3 +406,40 @@ TWO_WORKER_LINE = (
     '{"worker": 0, "duration_s": 0.5, "phase": "sample"}, '
     '{"worker": 1, "duration_s": 0.5, "phase": "sample"}]}'
 )
+
+
+@dataclass(frozen=True)
+class Probe:
+    weights: Optional[dict[str, float]]
+    name: str
+    label: Optional[str]
+    tags: tuple[str, ...]
+    count: int
+    ratio: float
+
+
+class TestTypeRule:
+    """_check_types, the one rule for every record read from JSON."""
+
+    GOOD = dict(weights={"assign": 1.0, "update": 2}, name="a", label="b", tags=("x", "y"),
+                count=3, ratio=0.5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("weights", None), ("weights", {}), ("label", None), ("tags", ["x"]), ("tags", ()),
+        ("ratio", 2), ("ratio", math.inf),
+    ])
+    def test_right_value_accepted(self, key, value):
+        _check_types(Probe(**self.GOOD))
+        _check_types(Probe(**{**self.GOOD, key: value}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("weights", {"assign": "1"}), ("weights", {1: 1.0}), ("weights", {"a": True}),
+        ("weights", [1.0]),
+        ("name", 5), ("name", None), ("label", 5),
+        ("tags", "xy"), ("tags", [5]), ("tags", None),
+        ("count", True), ("count", 2.5), ("count", "2"), ("count", None),
+        ("ratio", True), ("ratio", "0.5"), ("ratio", None),
+    ])
+    def test_wrong_value_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            _check_types(Probe(**{**self.GOOD, key: value}))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -209,12 +210,16 @@ class TestReportRows:
 
 
 class TestCliReport:
-    # Wrongly typed values on the p=2 line: each makes it a corrupt record.
+    # Wrongly typed or out-of-range values on the p=2 line: each makes it a
+    # corrupt record. The NaN line made `report --format json` write a bare NaN.
     P2_EDITS = {
         "workers-string": ("workers", "2"),
         "mean-wall-string": ("mean_wall", "x"),
         "kept-fraction": ("kept", 2.5),
         "kept-bool": ("kept", True),
+        "workers-zero": ("workers", 0),
+        "kept-negative": ("kept", -1),
+        "mean-wall-nan": ("mean_wall", math.nan),
     }
 
     @pytest.mark.parametrize("fault, args", [
