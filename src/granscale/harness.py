@@ -214,6 +214,26 @@ class CellResult:
     actual_speedup: Optional[float] = None
     relative_error: Optional[float] = None
 
+    def __post_init__(self):
+        _check_types(self)
+        _check_types(self.metrics)
+        if not (min(self.workers, self.problem_size, self.kept) >= 1 and self.rejected >= 0
+                and 0 < self.mean_wall < math.inf and 0 <= self.mean_total_comp < math.inf):
+            raise ValueError(
+                f"workers, problem_size and kept must be >= 1, rejected >= 0, mean_wall "
+                f"finite and > 0 and mean_total_comp finite and >= 0, got {self.workers}, "
+                f"{self.problem_size}, {self.kept}, {self.rejected}, {self.mean_wall!r} "
+                f"and {self.mean_total_comp!r}")
+        m, measured = self.metrics, (self.actual_speedup, self.relative_error)
+        if not (0 <= m.overhead < math.inf and 0 <= m.estimated_speedup < math.inf
+                and m.granularity >= 0 and 0 <= m.efficiency <= 1
+                and all(-math.inf < x < math.inf for x in measured if x is not None)):
+            raise ValueError(
+                f"overhead and estimated_speedup must be finite and >= 0, granularity >= 0, "
+                f"efficiency in [0, 1] and actual_speedup and relative_error finite or null, "
+                f"got {m.overhead!r}, {m.estimated_speedup!r}, {m.granularity!r}, "
+                f"{m.efficiency!r}, {self.actual_speedup!r} and {self.relative_error!r}")
+
     @property
     def cell_key(self) -> tuple:
         return (self.workload_id, self.workers, self.problem_size)
@@ -233,27 +253,14 @@ class CellResult:
         """Inverse of to_dict; only fields with a default may be absent.
 
         Every metrics key is required, including those GranularityMetrics
-        defaults, so a truncated line never loads as a valid cell. ValueError
-        refuses a wrongly typed value (see _check_types) and a value
-        _measure_cell never writes: workers, problem_size or kept below 1,
-        rejected below 0, a mean_wall that is not finite and > 0, and a
-        mean_total_comp that is not finite and >= 0.
+        defaults, so a truncated line never loads as a valid cell.
         """
         kwargs = {
             f.name: obj[f.name] if f.default is dataclasses.MISSING else obj.get(f.name, f.default)
             for f in dataclasses.fields(cls) if f.name != "metrics"
         }
         metrics = {f.name: obj[f.name] for f in dataclasses.fields(GranularityMetrics)}
-        cell = cls(**kwargs, metrics=GranularityMetrics(**metrics))
-        _check_types(cell)
-        if not (min(cell.workers, cell.problem_size, cell.kept) >= 1 and cell.rejected >= 0
-                and 0 < cell.mean_wall < math.inf and 0 <= cell.mean_total_comp < math.inf):
-            raise ValueError(
-                f"workers, problem_size and kept must be >= 1, rejected >= 0, mean_wall "
-                f"finite and > 0 and mean_total_comp finite and >= 0, got {cell.workers}, "
-                f"{cell.problem_size}, {cell.kept}, {cell.rejected}, {cell.mean_wall!r} "
-                f"and {cell.mean_total_comp!r}")
-        return cell
+        return cls(**kwargs, metrics=GranularityMetrics(**metrics))
 
 
 @dataclass

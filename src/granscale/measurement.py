@@ -83,7 +83,7 @@ def _is(value, tp) -> bool:
 
     Optional[X] takes None or an X, tuple[X, ...] a tuple or a JSON list of
     X, and dict[K, V] keys K and values V. A record type (a dataclass, or a
-    Union of them) takes an instance whose fields _check_types accepts.
+    Union of them) takes an instance of it: a record checks itself when built.
     """
     if tp in _JSON_TYPES:
         return type(value) in _JSON_TYPES[tp]
@@ -95,10 +95,7 @@ def _is(value, tp) -> bool:
     if origin is dict:
         return type(value) is dict and all(_is(k, args[0]) and _is(v, args[1])
                                            for k, v in value.items())
-    if type(value) is not tp:
-        return False
-    _check_types(value)  # raises, naming the record's wrong field
-    return True
+    return type(value) is tp
 
 
 def _check_types(obj) -> None:
@@ -129,50 +126,42 @@ class RunRecord:
         return ()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload_id": self.workload_id,
-                "workers": self.workers,
-                "problem_size": self.problem_size,
-                "seed": self.seed,
-                "wall_clock_s": self.wall_clock,
-                "iterations": self.iterations,
-                "spans": [
-                    {"worker": s.worker_id, "duration_s": s.duration, "phase": s.phase_label}
-                    for s in self.spans
-                ],
-            }
-        )
+        # The tables' keys, unpacked in their order: dict displays build fastest.
+        workload_id, workers, size, seed, wall, iterations = _record_keys
+        worker, duration, phase = _span_keys
+        return json.dumps({
+            workload_id: self.workload_id, workers: self.workers, size: self.problem_size,
+            seed: self.seed, wall: self.wall_clock, iterations: self.iterations,
+            "spans": [{worker: w, duration: d, phase: p} for w, d, p in self.spans]})
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
         """Inverse of to_json; unknown keys (older records' id and start time) are ignored.
 
-        ValueError refuses a line that is not an object holding every key
-        to_json writes; a value its field's annotation does not accept, by
-        the rule of _JSON_TYPES; and what RunHandle would not make: a count
-        or size below 1, a negative iteration count, a wall clock or span
-        duration that is not finite and >= 0, and a span worker outside
-        0..workers-1.
+        ValueError refuses a line that is not an object holding every key to_json
+        writes, spans a list; a value its field's annotation does not accept, by the
+        rule of _JSON_TYPES; and what RunHandle would not make: a count or size below
+        1, a negative iteration count, a wall clock or span duration that is not
+        finite and >= 0, and a span worker outside 0..workers-1.
         """
         try:
             obj = json.loads(text)
-            values = _record_values(obj)
-            # One pass splits the spans into columns, each checked in C loops,
-            # the worker ids once each; the spans are then built with no
-            # Python call each.
-            fields = list(map(_span_values, obj["spans"]))
+            values, spans = _record_values(obj), obj["spans"]
+            if type(spans) is not list:
+                raise _wrong_type("spans", list, spans)
+            # One pass splits the spans into columns, each checked in C loops;
+            # the spans are then built with no Python call each.
+            fields = list(map(_span_values, spans))
             ids, durations, phases = zip(*fields) if fields else ((), (), ())
-            ids = set(ids)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a run record: {exc!r}") from exc
         if tuple(map(type, values)) not in _RECORD_SIGNATURES:
-            raise _wrong_column_type(_RECORD_KEYS, _RECORD_TYPES, zip(values))
+            raise _wrong_column_type(RunRecord, _RECORD_KEYS, zip(values))
         worker_types, duration_types, phase_types = _SPAN_TYPES
         if not (worker_types.issuperset(map(type, ids))
                 and duration_types.issuperset(map(type, durations))
                 and phase_types.issuperset(map(type, phases))):
-            raise _wrong_column_type(_SPAN_KEYS, _SPAN_TYPES, (ids, durations, phases))
+            raise _wrong_column_type(Span, _SPAN_KEYS, (ids, durations, phases))
         workload_id, workers, size, seed, wall, iterations = values
         if not (workers >= 1 and size >= 1 and iterations >= 0 and 0 <= wall < math.inf):
             raise ValueError(f"workers and problem_size must be >= 1, iterations >= 0 and "
@@ -183,31 +172,32 @@ class RunRecord:
         if not (min(durations, default=0.0) >= 0 and sum(durations) < math.inf):
             bad = [d for d in durations if not 0 <= d < math.inf] or durations
             raise ValueError(f"span durations must be finite and >= 0, got {bad}")
-        if not all(0 <= i < workers for i in ids):
-            raise ValueError(f"span workers must lie in 0..{workers - 1}, got {ids}")
+        if not all(0 <= i < workers for i in set(ids)):
+            raise ValueError(f"span workers must lie in 0..{workers - 1}, got {set(ids)}")
         return cls(workload_id, workers, size, seed, wall,
                    tuple(map(tuple.__new__, repeat(Span), fields)), iterations)
 
 
-#: A records line's key and its field's annotation, for each field of
-#: RunRecord but spans and for each field of Span, and the types each accepts.
-_RECORD_KEYS = tuple((key, _hints(RunRecord)[name]) for name, key in (
-    ("workload_id", "workload_id"), ("workers", "workers"), ("problem_size", "problem_size"),
-    ("seed", "seed"), ("wall_clock", "wall_clock_s"), ("iterations", "iterations")))
-_SPAN_KEYS = tuple((key, _hints(Span)[name]) for name, key in (
-    ("worker_id", "worker"), ("duration", "duration_s"), ("phase_label", "phase")))
-_RECORD_TYPES = tuple(_JSON_TYPES[tp] for _, tp in _RECORD_KEYS)
-_RECORD_SIGNATURES = set(product(*_RECORD_TYPES))  # the scalars' type tuples
-_SPAN_TYPES = tuple(_JSON_TYPES[tp] for _, tp in _SPAN_KEYS)
-_record_values = itemgetter(*(key for key, _ in _RECORD_KEYS))
-_span_values = itemgetter(*(key for key, _ in _SPAN_KEYS))
+#: Each (field, key) of a records line, in the order to_json writes them: one
+#: table for RunRecord, whose spans follow, and one for each of its spans.
+_RECORD_KEYS = (("workload_id", "workload_id"), ("workers", "workers"),
+                ("problem_size", "problem_size"), ("seed", "seed"),
+                ("wall_clock", "wall_clock_s"), ("iterations", "iterations"))
+_SPAN_KEYS = (("worker_id", "worker"), ("duration", "duration_s"), ("phase_label", "phase"))
+_record_keys, _span_keys = (tuple(key for _, key in t) for t in (_RECORD_KEYS, _SPAN_KEYS))
+_record_values, _span_values = itemgetter(*_record_keys), itemgetter(*_span_keys)
+# The types each column accepts, and every type tuple the scalars may have.
+_SPAN_TYPES = tuple(_JSON_TYPES[_hints(Span)[name]] for name, _ in _SPAN_KEYS)
+_RECORD_SIGNATURES = set(product(*(_JSON_TYPES[_hints(RunRecord)[name]]
+                                   for name, _ in _RECORD_KEYS)))
 
 
-def _wrong_column_type(keys, types, columns) -> ValueError:
-    """The error for the first value, column by column, that its key's types do not hold."""
-    for (key, tp), accepted, column in zip(keys, types, columns):
+def _wrong_column_type(cls, table, columns) -> ValueError:
+    """The error for the first value, column by column, that its field's annotation refuses."""
+    for (name, key), column in zip(table, columns):
+        tp = _hints(cls)[name]
         for value in column:
-            if type(value) not in accepted:
+            if not _is(value, tp):
                 return _wrong_type(key, tp, value)
 
 

@@ -31,7 +31,7 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from ..measurement import SEED_MASK, RunHandle, RunRecord
+from ..measurement import SEED_MASK, RunHandle, RunRecord, _check_types
 from ._pool import part_sizes, run_workers
 
 # Blob centers sit on a lattice with this spacing; blob noise is unit std,
@@ -66,6 +66,7 @@ class KMeansSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.n_points < 1 or self.n_clusters < 1:
             raise ValueError("n_points and n_clusters must be positive")
         if self.n_points < self.n_clusters:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..measurement import SEED_MASK, RunHandle, RunRecord
+from ..measurement import SEED_MASK, RunHandle, RunRecord, _check_types
 from ._pool import part_sizes, run_workers
 
 #: Logical RNG shards, independent of worker count.
@@ -64,6 +64,7 @@ class PiSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 

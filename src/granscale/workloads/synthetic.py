@@ -30,7 +30,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from ..measurement import RunHandle, RunRecord
+from ..measurement import RunHandle, RunRecord, _check_types
 from ._pool import run_workers
 
 
@@ -42,6 +42,7 @@ class SyntheticSpec:
     simulate: bool = False
 
     def __post_init__(self):
+        _check_types(self)
         for name in ("compute_ms_per_worker", "exchange_ms_per_worker"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")

@@ -838,21 +838,46 @@ class TestCellResult:
 
 
 class TestOneTypeRule:
-    """The plan header, a results line and a records line refuse a wrong type alike."""
+    """A plan, its workload spec, a results header or line and a records line refuse a
+    wrong type alike."""
 
-    # Per reader: the int field and the str field given the wrong values.
+    # Per reader: the int field and the str field given the wrong values. A
+    # workload spec has no str field; its readers are `granscale run`'s plan,
+    # a results header and the spec itself.
     FIELDS = {"header": ("repetitions", "mode"), "line": ("kept", "workload_id"),
-              "records": ("workers", "workload_id")}
+              "records": ("workers", "workload_id"), "plan-workload": ("n_clusters", None),
+              "header-workload": ("n_clusters", None), "spec": ("n_points", None)}
+    VALUES = {"true": (True, "int"), "str-2": ("2", "int"), "5": (5, "str"), "null": (None, "int")}
 
-    @pytest.mark.parametrize("value, want", [(True, "int"), ("2", "int"), (5, "str"),
-                                             (None, "int")], ids=["true", "str-2", "5", "null"])
-    @pytest.mark.parametrize("reader", list(FIELDS))
-    def test_wrong_type_named(self, tmp_path, reader, value, want):
+    @pytest.mark.parametrize("reader, value, want", [
+        pytest.param(reader, value, want, id=f"{reader}-{name}")
+        for (reader, keys), (name, (value, want)) in itertools.product(FIELDS.items(),
+                                                                       VALUES.items())
+        if keys[want == "str"]])
+    def test_wrong_type_named(self, tmp_path, capsys, reader, value, want):
         key = self.FIELDS[reader][want == "str"]
         out, records = tmp_path / "r.jsonl", tmp_path / "runs.jsonl"
+        message = f"{key} must be {want}, got {value!r}"
+        # A spec's range check ran before the type rule, so "2" and null gave
+        # "'<' not supported between instances ..." and named no field.
+        if reader == "spec":
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                KMeansSpec(**{"n_points": 100, "n_clusters": 4, "dims": 2, key: value})
+            return
+        if reader.endswith("-workload"):
+            plan = {**KM_PLAN, "workload": {**KM_PLAN["workload"], key: value}}
+            if reader == "plan-workload":
+                plan_file = tmp_path / "plan.json"
+                plan_file.write_text(json.dumps(plan))
+                assert cli.main(["run", "--plan", str(plan_file), "--out", str(out)]) == 1
+                assert capsys.readouterr().err == f"error: {plan_file}: invalid plan: {message}\n"
+                return
+            out.write_text(json.dumps({"plan_hash": canonical_sha256(plan), "plan": plan}) + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"corrupt header at line 1: {message}")):
+                load_results(out)
+            return
         run_plan(sim_plan(), out_path=out, records_path=records)
         header, *lines = out.read_text().splitlines()
-        message = f"{key} must be {want}, got {value!r}"
         if reader == "records":
             obj = {**json.loads(records.read_text().splitlines()[0]), key: value}
             with pytest.raises(ValueError, match=re.escape(message)):

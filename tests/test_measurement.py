@@ -324,10 +324,13 @@ class TestSerialization:
         ((0, 2), r"span workers must lie in 0\.\.1"),
         (("0", 1), "worker must be int, got '0'"),
         ((0, True), "worker must be int, got True"),
-    ], ids=["7", "negative", "2", "str", "bool"])
+        ((1, True), "worker must be int, got True"),
+        ((1, 1.0), "worker must be int, got 1.0"),
+    ], ids=["7", "negative", "2", "str", "bool", "bool-after-1", "float-after-1"])
     def test_span_worker_out_of_range_refused(self, ids, match):
         # Spans of workers {0, 7} in a 2-worker record left worker 1 without
-        # a span, yet the record carried no incomplete-coverage flag.
+        # a span, yet the record carried no incomplete-coverage flag. A true
+        # or 1.0 after a span of worker 1 loaded as it was: {1, True} == {1}.
         obj = json.loads(TWO_WORKER_LINE)
         for span, worker in zip(obj["spans"], ids):
             span["worker"] = worker
@@ -381,9 +384,13 @@ class TestSerialization:
         lambda obj: {k: v for k, v in obj.items() if k != "seed"},
         lambda obj: {**obj, "spans": [obj["spans"][0], {"worker": 1, "duration_s": 0.5}]},
         lambda obj: [1],
-    ], ids=["spans-null", "span-5", "worker-list", "no-seed", "span-without-phase", "list"])
+        lambda obj: {**obj, "spans": {}},
+        lambda obj: {**obj, "spans": ""},
+    ], ids=["spans-null", "span-5", "worker-list", "no-seed", "span-without-phase", "list",
+            "spans-object", "spans-string"])
     def test_malformed_line_refused(self, edit):
-        # Each raised TypeError or KeyError, so a reader had to catch three types.
+        # Each raised TypeError or KeyError, so a reader had to catch three
+        # types; spans {} and "" loaded as a record with no spans.
         with pytest.raises(ValueError):
             RunRecord.from_json(json.dumps(edit(json.loads(TWO_WORKER_LINE))))
 

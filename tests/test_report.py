@@ -220,6 +220,20 @@ class TestCliReport:
         "workers-zero": ("workers", 0),
         "kept-negative": ("kept", -1),
         "mean-wall-nan": ("mean_wall", math.nan),
+        "overhead-negative": ("overhead", -1.0),
+        "overhead-inf": ("overhead", math.inf),
+        "overhead-nan": ("overhead", math.nan),
+        "granularity-negative": ("granularity", -1.0),
+        "granularity-nan": ("granularity", math.nan),
+        "efficiency-nan": ("efficiency", math.nan),
+        "efficiency-above-1": ("efficiency", 1.5),
+        "efficiency-negative": ("efficiency", -0.5),
+        "estimated-speedup-negative": ("estimated_speedup", -1.0),
+        "estimated-speedup-inf": ("estimated_speedup", math.inf),
+        "actual-speedup-nan": ("actual_speedup", math.nan),
+        "actual-speedup-inf": ("actual_speedup", math.inf),
+        "relative-error-nan": ("relative_error", math.nan),
+        "relative-error-inf": ("relative_error", -math.inf),
     }
 
     @pytest.mark.parametrize("fault, args", [
