@@ -40,7 +40,8 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import __version__, stats
-from .measurement import SEED_MASK, RunHandle, RunRecord, _check_types, aggregate, begin_run
+from .measurement import (SEED_MASK, RunHandle, RunRecord, _check_types, _hints, _is, aggregate,
+                          begin_run)
 from .metrics import GranularityMetrics, TimingBreakdown, granularity_metrics, relative_error
 from .workloads import (
     KMeansSpec,
@@ -208,31 +209,30 @@ class CellResult:
     problem_size: int
     mean_wall: float
     mean_total_comp: float
-    metrics: GranularityMetrics
+    metrics: GranularityMetrics = field(init=False)  # derived, as relative_error is
     kept: int
     rejected: int
     actual_speedup: Optional[float] = None
-    relative_error: Optional[float] = None
+    relative_error: Optional[float] = field(init=False)
 
     def __post_init__(self):
         _check_types(self)
-        _check_types(self.metrics)
         if not (min(self.workers, self.problem_size, self.kept) >= 1 and self.rejected >= 0
-                and 0 < self.mean_wall < math.inf and 0 <= self.mean_total_comp < math.inf):
+                and 0 < self.mean_wall < math.inf and 0 <= self.mean_total_comp < math.inf
+                and (self.actual_speedup is None or 0 < self.actual_speedup < math.inf)):
             raise ValueError(
-                f"workers, problem_size and kept must be >= 1, rejected >= 0, mean_wall "
-                f"finite and > 0 and mean_total_comp finite and >= 0, got {self.workers}, "
-                f"{self.problem_size}, {self.kept}, {self.rejected}, {self.mean_wall!r} "
-                f"and {self.mean_total_comp!r}")
-        m, measured = self.metrics, (self.actual_speedup, self.relative_error)
-        if not (0 <= m.overhead < math.inf and 0 <= m.estimated_speedup < math.inf
-                and m.granularity >= 0 and 0 <= m.efficiency <= 1
-                and all(-math.inf < x < math.inf for x in measured if x is not None)):
-            raise ValueError(
-                f"overhead and estimated_speedup must be finite and >= 0, granularity >= 0, "
-                f"efficiency in [0, 1] and actual_speedup and relative_error finite or null, "
-                f"got {m.overhead!r}, {m.estimated_speedup!r}, {m.granularity!r}, "
-                f"{m.efficiency!r}, {self.actual_speedup!r} and {self.relative_error!r}")
+                f"workers, problem_size and kept must be >= 1, rejected >= 0, mean_wall finite "
+                f"and > 0, mean_total_comp finite and >= 0 and actual_speedup finite and > 0 or "
+                f"null, got {self.workers}, {self.problem_size}, {self.kept}, {self.rejected}, "
+                f"{self.mean_wall!r}, {self.mean_total_comp!r} and {self.actual_speedup!r}")
+        try:
+            m = granularity_metrics(TimingBreakdown(self.workers, self.mean_wall,
+                                                    self.mean_total_comp))
+        except ValueError as exc:
+            raise ValueError(f"mean_total_comp and mean_wall give no estimate: {exc}") from exc
+        object.__setattr__(self, "metrics", m)
+        object.__setattr__(self, "relative_error", None if self.actual_speedup is None
+                           else relative_error(self.actual_speedup, m.estimated_speedup))
 
     @property
     def cell_key(self) -> tuple:
@@ -250,17 +250,21 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CellResult":
-        """Inverse of to_dict; only fields with a default may be absent.
+        """Inverse of to_dict: the cell of the line's measured keys, if they give the rest.
 
-        Every metrics key is required, including those GranularityMetrics
-        defaults, so a truncated line never loads as a valid cell.
+        Each derived key, metrics' fields and relative_error, must be of its
+        annotated type and equal what the cell derives. Only actual_speedup may
+        be absent, and relative_error with it.
         """
-        kwargs = {
-            f.name: obj[f.name] if f.default is dataclasses.MISSING else obj.get(f.name, f.default)
-            for f in dataclasses.fields(cls) if f.name != "metrics"
-        }
-        metrics = {f.name: obj[f.name] for f in dataclasses.fields(GranularityMetrics)}
-        return cls(**kwargs, metrics=GranularityMetrics(**metrics))
+        line = obj if "actual_speedup" in obj else {"actual_speedup": None,
+                                                     "relative_error": None, **obj}
+        cell = cls(**{f.name: line[f.name] for f in dataclasses.fields(cls) if f.init})
+        hints = {**_hints(cls), **_hints(GranularityMetrics)}
+        for key, want in {**vars(cell.metrics), "relative_error": cell.relative_error}.items():
+            if not (_is(line[key], hints[key]) and line[key] == want):
+                raise ValueError(f"{key} must be {json.dumps(want)}, what the line's measured "
+                                 f"keys give, got {line[key]!r}")
+        return cell
 
 
 @dataclass
@@ -310,26 +314,16 @@ def _measure_cell(
                  workers, size, len(records), len(runs), len(runs) - len(records))
 
     mean_wall = float(np.mean([r.wall_clock for r in records]))
-    mean_comp = float(np.mean([aggregate(r).total_comp for r in records]))
-    metrics = granularity_metrics(TimingBreakdown(workers, mean_wall, mean_comp))
-    actual = (mean_wall if workers == 1 else t1) / mean_wall
     cell = CellResult(
-        workload_id=plan.workload_id,
-        workers=workers,
-        problem_size=size,
-        mean_wall=mean_wall,
-        mean_total_comp=mean_comp,
-        metrics=metrics,
-        kept=len(records),
-        rejected=len(runs) - len(records),
-        actual_speedup=actual,
-        relative_error=relative_error(actual, metrics.estimated_speedup),
-    )
+        workload_id=plan.workload_id, workers=workers, problem_size=size, mean_wall=mean_wall,
+        mean_total_comp=float(np.mean([aggregate(r).total_comp for r in records])),
+        kept=len(records), rejected=len(runs) - len(records),
+        actual_speedup=(mean_wall if workers == 1 else t1) / mean_wall)
     return cell, records
 
 
 def load_results(results_path: Union[str, Path]) -> ResultSet:
-    """Read a results file into a ResultSet; plan_hash and each workload_id must fit its plan."""
+    """Read a results file into a ResultSet; plan_hash and every cell line must fit its plan."""
     path = Path(results_path)
     lines = path.read_text().splitlines()
     if not lines:
@@ -352,6 +346,9 @@ def load_results(results_path: Union[str, Path]) -> ResultSet:
             if cell.workload_id != plan.workload_id:
                 raise ValueError(f"workload_id must be {plan.workload_id!r}, "
                                  f"got {cell.workload_id!r}")
+            if cell.kept + cell.rejected != plan.repetitions:
+                raise ValueError(f"kept + rejected must be the plan's repetitions, "
+                                 f"{plan.repetitions}, got {cell.kept} + {cell.rejected}")
             cells.append(cell)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: corrupt record at line {i}: {exc}") from exc

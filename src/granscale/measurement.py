@@ -18,6 +18,7 @@ negative, NaN or infinite duration is refused where a span is made: by
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -99,11 +100,11 @@ def _is(value, tp) -> bool:
 
 
 def _check_types(obj) -> None:
-    """Refuse with ValueError a field of obj whose value its annotation does not accept."""
-    for name, tp in _hints(type(obj)).items():
-        value = getattr(obj, name)
-        if not _is(value, tp):
-            raise _wrong_type(name, tp, value)
+    """Refuse with ValueError an init field of dataclass obj that its annotation refuses."""
+    hints = _hints(type(obj))
+    for name in (f.name for f in dataclasses.fields(obj) if f.init):
+        if not _is(getattr(obj, name), hints[name]):
+            raise _wrong_type(name, hints[name], getattr(obj, name))
 
 
 @dataclass(frozen=True)

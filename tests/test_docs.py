@@ -1,7 +1,9 @@
-"""The README's CLI synopsis, plan example, JSON report keys and Python API match the code."""
+"""The README's CLI synopsis, plan example, JSON report keys, derived results-line keys and
+Python API match the code."""
 
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import re
@@ -13,6 +15,7 @@ import pytest
 import granscale
 from granscale import cli, report
 from granscale.harness import ExperimentPlan
+from granscale.metrics import GranularityMetrics
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -53,6 +56,12 @@ def test_json_report_keys_and_flags():
     table = table[:table.index("\n\n")]
     flags = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
     assert flags == sorted([report.FLAG_CLAMPED, report.FLAG_INCOMPLETE, report.FLAG_SUPERLINEAR])
+
+
+def test_derived_keys_are_the_metrics_and_the_error():
+    keys = re.search(r"The derived keys, (.*?), must each", README, re.DOTALL).group(1)
+    derived = [f.name for f in dataclasses.fields(GranularityMetrics)] + ["relative_error"]
+    assert re.findall(r"`(\w+)`", keys) == derived
 
 
 def test_pi_expectation_matches_the_grid():

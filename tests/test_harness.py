@@ -8,6 +8,7 @@ import os
 import re
 import weakref
 
+import numpy as np
 import pytest
 
 from granscale import cli, harness
@@ -19,7 +20,7 @@ from granscale.harness import (
     resume,
     run_plan,
 )
-from granscale.measurement import RunRecord
+from granscale.measurement import RunRecord, aggregate
 from granscale.workloads import KMeansSpec, PiSpec, SyntheticSpec
 
 SIM = SyntheticSpec(compute_ms_per_worker=5, exchange_ms_per_worker=1,
@@ -815,13 +816,73 @@ class TestCellResult:
             load_results(bad)
 
     def test_infinite_granularity_loads(self, tmp_path):
-        # An overhead below the timer floor gives G = inf, written as Infinity.
+        # Computation that fills every worker-second leaves an overhead below
+        # the timer floor: G = inf, written as Infinity, and E = 1.
         header, first, second = self._results_lines(tmp_path)
-        line = json.dumps({**json.loads(second), "granularity": math.inf, "efficiency": 1.0})
+        obj = json.loads(second)
+        p, actual = obj["workers"], obj["actual_speedup"]
+        line = json.dumps({**obj, "mean_total_comp": p * obj["mean_wall"], "overhead": 0.0,
+                           "granularity": math.inf, "efficiency": 1.0,
+                           "estimated_speedup": float(p), "relative_error": (p - actual) / actual})
         assert "Infinity" in line
         path = tmp_path / "inf.jsonl"
         path.write_text("\n".join([header, first, line]) + "\n")
-        assert load_results(path).cells[1].metrics.granularity == math.inf
+        cell = load_results(path).cells[1]
+        assert cell.metrics.granularity == math.inf
+        assert json.dumps(cell.to_dict()) == line
+        # 1 is a float by the type rule, so it may stand for E = 1.0.
+        path.write_text("\n".join([header, first, line.replace('"efficiency": 1.0',
+                                                                '"efficiency": 1')]) + "\n")
+        assert load_results(path).cells[1] == cell
+
+    @pytest.mark.parametrize("key, edit", [
+        pytest.param("efficiency", lambda obj: {"efficiency": 0.5}, id="efficiency-half"),
+        pytest.param("overhead_clamped", lambda obj: {"overhead_clamped": True}, id="clamped"),
+        # 0 == False, but 0 is not a bool.
+        pytest.param("overhead_clamped", lambda obj: {"overhead_clamped": 0}, id="clamped-0"),
+        pytest.param("estimated_speedup", lambda obj: {
+            "estimated_speedup": math.nextafter(obj["estimated_speedup"], math.inf)},
+            id="speedup-one-ulp-off"),
+        # A relative error needs a measured speedup to be relative to.
+        pytest.param("relative_error", lambda obj: {"actual_speedup": None},
+                     id="error-without-speedup"),
+        # More computation than the workers had seconds for: no estimate at all.
+        pytest.param("mean_total_comp", lambda obj: {
+            "mean_total_comp": 1.001 * obj["workers"] * obj["mean_wall"]},
+            id="comp-over-budget"),
+    ])
+    def test_inconsistent_derived_key(self, tmp_path, key, edit):
+        # Well typed and in range, but not what the line's measured keys give.
+        header, first, second = self._results_lines(tmp_path)
+        obj = json.loads(second)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([header, first, json.dumps({**obj, **edit(obj)})]) + "\n")
+        with pytest.raises(ValueError, match=f"corrupt record at line 3: {key} "):
+            load_results(bad)
+
+    def test_constructor_takes_no_derived_field(self):
+        kwargs = dict(workload_id="synthetic", workers=2, problem_size=4, mean_wall=1.0,
+                      mean_total_comp=1.5, kept=3, rejected=0, actual_speedup=1.5)
+        cell = CellResult(**kwargs)
+        assert (cell.metrics.efficiency, cell.relative_error) == (0.75, 0.0)
+        for derived in ("metrics", "relative_error"):
+            with pytest.raises(TypeError, match=derived):
+                CellResult(**kwargs, **{derived: None})
+
+    @pytest.mark.parametrize("kept, rejected", [(7, 9), (2, 0), (3, 1), (1, 3)])
+    def test_kept_and_rejected_make_the_repetitions(self, tmp_path, kept, rejected):
+        # run keeps or rejects each of a cell's repetitions: 3 in sim_plan.
+        header, first, second = self._results_lines(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        line = json.dumps({**json.loads(second), "kept": kept, "rejected": rejected})
+        bad.write_text("\n".join([header, first, line]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt record at line 3: kept + rejected must be the plan's repetitions, "
+                f"3, got {kept} + {rejected}")):
+            load_results(bad)
+        bad.write_text("\n".join([header, first, json.dumps({**json.loads(line), "kept": 2,
+                                                             "rejected": 1})]) + "\n")
+        assert load_results(bad).cells[1].kept == 2
 
     def test_optional_keys_default_to_none(self, tmp_path):
         header, first, *_ = self._results_lines(tmp_path)
@@ -835,6 +896,38 @@ class TestCellResult:
         cells = load_results(short).cells
         assert [(c.actual_speedup, c.relative_error) for c in cells] == [(None, None)] * 2
 
+
+class TestRebuildFromRecords:
+    """A cell's results line follows from its kept runs in the records file and its T₁."""
+
+    PLANS = {
+        "pinned": lambda: TestPinnedBytes()._plan(),
+        "kmeans-strong": lambda: sim_plan(
+            workload=KMeansSpec(n_points=20_000, n_clusters=8, dims=4, max_iterations=5),
+            problem_sizes=(20_000,), base_problem_size=20_000),
+        "pi-weak": lambda: sim_plan(workload=PiSpec(n_samples=1), mode="weak",
+                                    problem_sizes=None, base_problem_size=1_000_000),
+    }
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_lines_rebuild_byte_for_byte(self, tmp_path, name):
+        plan, out, records = self.PLANS[name](), tmp_path / "r.jsonl", tmp_path / "runs.jsonl"
+        run_plan(plan, out_path=out, records_path=records)
+        cells = {}
+        for run in read_runs(records):
+            cells.setdefault((run.workers, run.problem_size), []).append(run)
+        t1, lines = {}, []
+        for (workers, size), runs in cells.items():
+            mean_wall = float(np.mean([r.wall_clock for r in runs]))
+            t1.setdefault(size, mean_wall)  # each size's p=1 cell comes first
+            cell = CellResult(
+                workload_id=plan.workload_id, workers=workers, problem_size=size,
+                mean_wall=mean_wall,
+                mean_total_comp=float(np.mean([aggregate(r).total_comp for r in runs])),
+                kept=len(runs), rejected=plan.repetitions - len(runs),
+                actual_speedup=t1[size] / mean_wall)
+            lines.append(json.dumps(cell.to_dict()))
+        assert lines == out.read_text().splitlines()[1:]
 
 
 class TestOneTypeRule:

@@ -14,7 +14,6 @@ from granscale.fixture import (
     validate_fixture,
 )
 from granscale.harness import CellResult, ExperimentPlan, ResultSet, run_plan
-from granscale.metrics import TimingBreakdown, granularity_metrics
 from granscale.report import (
     FLAG_CLAMPED,
     FLAG_INCOMPLETE,
@@ -52,13 +51,11 @@ def hand_built(mode, cells, repetitions=3):
 
 
 def cell(workers, size, wall, comp=None, kept=3, actual_speedup=None):
-    """A CellResult whose metrics are those of one run of that wall and compute."""
+    """A CellResult of that mean wall and compute; its metrics derive from them."""
     comp = 0.5 * workers * wall if comp is None else comp
     return CellResult(
         workload_id="synthetic", workers=workers, problem_size=size, mean_wall=wall,
-        mean_total_comp=comp, metrics=granularity_metrics(TimingBreakdown(workers, wall, comp)),
-        kept=kept, rejected=0, actual_speedup=actual_speedup,
-        relative_error=None if actual_speedup is None else 0.0,
+        mean_total_comp=comp, kept=kept, rejected=0, actual_speedup=actual_speedup,
     )
 
 
@@ -210,8 +207,9 @@ class TestReportRows:
 
 
 class TestCliReport:
-    # Wrongly typed or out-of-range values on the p=2 line: each makes it a
-    # corrupt record. The NaN line made `report --format json` write a bare NaN.
+    # Wrongly typed or out-of-range values on the p=2 line, or metrics its means
+    # do not give: each makes it a corrupt record. The NaN line made `report
+    # --format json` write a bare NaN.
     P2_EDITS = {
         "workers-string": ("workers", "2"),
         "mean-wall-string": ("mean_wall", "x"),
